@@ -17,7 +17,7 @@ import sys
 from .config import OptimizerOptions
 from .correlations import chsh_max, correlation_tensor, svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError, NormalizationError
-from .qstate import DensityMatrix, StateSpec, reduce_pure
+from .qstate import DensityMatrix, StateSpec, _real, reduce_pure
 from .svetlichny import maximize_svetlichny
 from .tradeoff import BOUND_NAMES, FIGURES, VARIANTS, sweep_figure, verify_tradeoff
 
@@ -34,15 +34,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_lines(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42,
+    common.add_argument("--seed", type=_seed, default=42,
                         help="seed for all randomized restarts (default 42)")
     common.add_argument("--restarts", type=int, default=64,
                         help="optimizer restarts (default 64)")
@@ -110,22 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_spec(args) -> StateSpec:
     if getattr(args, "state_file", None):
-        try:
-            with open(args.state_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _ArgumentError(f"cannot read state file: {exc}") from exc
+        with open(args.state_file, "r", encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = args.state
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise _ArgumentError(f"malformed state JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _ArgumentError("state JSON must be an object")
     if args.degrees and "theta" in data:
         data = dict(data)
-        data["theta"] = math.radians(float(data["theta"]))
+        data["theta"] = math.radians(_real("theta", data["theta"]))
     return StateSpec.from_dict(data)
 
 
@@ -144,69 +142,55 @@ def _opts(args) -> OptimizerOptions:
                             tol=args.tol, seed=args.seed)
 
 
-def _reduced_density(args, spec: StateSpec, expect: int | None = None) -> DensityMatrix:
-    psi = spec.to_pure()
+def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatrix:
+    """The spec's state reduced onto --reduce, on one of sizes qubits if given."""
+    spec = _load_spec(args)
     reduce = getattr(args, "reduce", None)
     if reduce is not None:
         keep = _parse_indices(reduce)
     else:
         keep = tuple(range(spec.num_qubits))
-    if expect is not None and len(keep) != expect:
-        raise _ArgumentError(f"need exactly {expect} kept qubits, got {len(keep)}")
     try:
-        return reduce_pure(psi, keep)
+        rho = reduce_pure(spec.to_pure(), keep)
     except IndexError as exc:
         raise _ArgumentError(str(exc)) from exc
+    if sizes is not None and rho.num_qubits not in sizes:
+        raise _ArgumentError(
+            f"{args.verb} needs a {'- or '.join(map(str, sizes))}-qubit state, "
+            f"got {rho.num_qubits} qubits; use --reduce")
+    return rho
 
 
-def _run_state(args) -> tuple[str, int]:
-    spec = _load_spec(args)
-    psi = spec.to_pure()
-    if (args.format or "json") == "json":
-        amps = [[float(c.real), float(c.imag)] for c in psi.amplitudes]
-        out = json.dumps({"family": "CUSTOM", "n": psi.num_qubits,
-                          "amplitudes": amps})
-        return out + "\n", 0
+# Each runner returns (json payload, csv columns, csv rows, exit code).
+
+def _run_state(args):
+    psi = _load_spec(args).to_pure()
     rows = [(k, float(c.real), float(c.imag)) for k, c in enumerate(psi.amplitudes)]
-    return _csv_lines(("index", "real", "imag"), rows), 0
+    payload = {"family": "CUSTOM", "n": psi.num_qubits,
+               "amplitudes": [[re, im] for _, re, im in rows]}
+    return payload, ("index", "real", "imag"), rows, 0
 
 
-def _run_reduce(args) -> tuple[str, int]:
-    spec = _load_spec(args)
-    rho = _reduced_density(args, spec)
-    if (args.format or "json") == "json":
-        entries = [[[float(z.real), float(z.imag)] for z in row]
-                   for row in rho.entries]
-        return json.dumps({"n": rho.num_qubits, "entries": entries}) + "\n", 0
-    rows = [(i, j, float(z.real), float(z.imag))
-            for i, row in enumerate(rho.entries) for j, z in enumerate(row)]
-    return _csv_lines(("row", "col", "real", "imag"), rows), 0
+def _run_reduce(args):
+    rho = _reduced_density(args)
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in rho.entries]
+    rows = [(i, j, re, im) for i, row in enumerate(entries)
+            for j, (re, im) in enumerate(row)]
+    return ({"n": rho.num_qubits, "entries": entries},
+            ("row", "col", "real", "imag"), rows, 0)
 
 
-def _run_bound(args) -> tuple[str, int]:
-    spec = _load_spec(args)
-    rho = _reduced_density(args, spec)
+def _run_bound(args):
+    rho = _reduced_density(args, sizes=(2, 3))
     if rho.num_qubits == 3:
         kind, value = "svetlichny_4lambda1", svetlichny_upper_bound(rho)
-    elif rho.num_qubits == 2:
-        kind, value = "chsh_horodecki", chsh_max(rho)
     else:
-        raise _ArgumentError(
-            f"bound needs a 2- or 3-qubit state, got {rho.num_qubits} qubits; "
-            "use --reduce")
-    if (args.format or "json") == "json":
-        return json.dumps({"kind": kind, "value": value}) + "\n", 0
-    return _csv_lines(("kind", "value"), [(kind, value)]), 0
+        kind, value = "chsh_horodecki", chsh_max(rho)
+    return {"kind": kind, "value": value}, ("kind", "value"), [(kind, value)], 0
 
 
-def _run_maximize(args) -> tuple[str, int]:
-    spec = _load_spec(args)
-    rho = _reduced_density(args, spec, expect=3 if getattr(args, "reduce", None) else None)
-    if rho.num_qubits != 3:
-        raise _ArgumentError(
-            f"maximize needs a 3-qubit state, got {rho.num_qubits} qubits; "
-            "use --reduce")
-    best = maximize_svetlichny(rho, _opts(args))
+def _run_maximize(args):
+    best = maximize_svetlichny(_reduced_density(args, sizes=(3,)), _opts(args))
     payload = {
         "value": best.value,
         "converged": best.converged,
@@ -215,50 +199,35 @@ def _run_maximize(args) -> tuple[str, int]:
         "settings": best.settings.to_dict(),
     }
     code = 0 if best.converged or args.allow_unconverged else 4
-    if (args.format or "json") == "json":
-        return json.dumps(payload) + "\n", code
     rows = [(best.value, best.converged, best.restarts, best.evaluations)]
-    return _csv_lines(("value", "converged", "restarts", "evaluations"), rows), code
+    return payload, ("value", "converged", "restarts", "evaluations"), rows, code
 
 
-def _run_tensor(args) -> tuple[str, int]:
-    spec = _load_spec(args)
-    rho = _reduced_density(args, spec)
-    if rho.num_qubits != 3:
-        raise _ArgumentError(
-            f"tensor needs a 3-qubit state, got {rho.num_qubits} qubits; "
-            "use --reduce")
-    m = correlation_tensor(rho).m
+def _run_tensor(args):
+    m = correlation_tensor(_reduced_density(args, sizes=(3,))).m
     # Pauli indices are reported 1-based (1=x, 2=y, 3=z).
     rows = [(i + 1, j + 1, k + 1, float(m[i, j, k]))
             for i in range(3) for j in range(3) for k in range(3)]
-    if (args.format or "csv") == "csv":
-        return _csv_lines(("i", "j", "k", "value"), rows), 0
     payload = [{"i": i, "j": j, "k": k, "value": v} for i, j, k, v in rows]
-    return json.dumps(payload) + "\n", 0
+    return payload, ("i", "j", "k", "value"), rows, 0
 
 
-def _run_tradeoff(args) -> tuple[str, int]:
-    spec = _load_spec(args)
-    report = verify_tradeoff(spec, args.bound, _opts(args), variant=args.variant)
+def _run_tradeoff(args):
+    report = verify_tradeoff(_load_spec(args), args.bound, _opts(args),
+                             variant=args.variant)
     code = 0 if report.converged or args.allow_unconverged else 4
-    if (args.format or "json") == "json":
-        return report.to_json() + "\n", code
     rows = [(",".join(map(str, r.keep)), r.value, r.upper_bound, r.converged,
              report.lhs, report.rhs, report.satisfied)
             for r in report.per_reduction]
     cols = ("keep", "value", "upper_bound_4lambda1", "converged",
             "lhs", "rhs", "satisfied")
-    return _csv_lines(cols, rows), code
+    return report.to_dict(), cols, rows, code
 
 
-def _run_figure(args) -> tuple[str, int]:
+def _run_figure(args):
     cols, rows = sweep_figure(args.figure, args.points, _opts(args),
                               variant=args.variant)
-    if (args.format or "csv") == "csv":
-        return _csv_lines(cols, rows), 0
-    payload = [dict(zip(cols, row)) for row in rows]
-    return json.dumps(payload) + "\n", 0
+    return [dict(zip(cols, row)) for row in rows], cols, rows, 0
 
 
 _RUNNERS = {
@@ -278,19 +247,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    fmt = args.format or ("csv" if args.verb in ("tensor", "figure") else "json")
     try:
-        text, code = _RUNNERS[args.verb](args)
-    except _ArgumentError as exc:
+        payload, columns, rows, code = _RUNNERS[args.verb](args)
+        if fmt == "json":
+            text = json.dumps(payload) + "\n"
+        else:
+            lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+            text = "\n".join(lines) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (_ArgumentError, OSError, UnicodeDecodeError) as exc:  # --state-file, --output
         print(f"svl: {exc}", file=sys.stderr)
         return 2
     except (NormalizationError, DomainError, InvalidArityError, IndexError) as exc:
         print(f"svl: {exc}", file=sys.stderr)
         return 3
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

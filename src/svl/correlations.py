@@ -48,7 +48,7 @@ class CorrelationTensor3:
         m = np.ascontiguousarray(self.m, dtype=float)
         if m.shape != (3, 3, 3):
             raise InvalidArityError(f"expected a 3x3x3 tensor, got shape {m.shape}")
-        if np.max(np.abs(m)) > 1.0 + _IMAG_TOL:
+        if not np.max(np.abs(m)) <= 1.0 + _IMAG_TOL:
             raise DomainError("correlation tensor entries must lie in [-1, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
@@ -64,7 +64,7 @@ class CorrelationMatrix2:
         t = np.ascontiguousarray(self.t, dtype=float)
         if t.shape != (3, 3):
             raise InvalidArityError(f"expected a 3x3 matrix, got shape {t.shape}")
-        if np.max(np.abs(t)) > 1.0 + _IMAG_TOL:
+        if not np.max(np.abs(t)) <= 1.0 + _IMAG_TOL:
             raise DomainError("correlation matrix entries must lie in [-1, 1]")
         t.setflags(write=False)
         object.__setattr__(self, "t", t)

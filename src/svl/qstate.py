@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Mapping
 
@@ -55,7 +56,7 @@ class PureState:
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > DEFAULT_TOLERANCES.structural:
+        if not abs(np.linalg.norm(amps) - 1.0) <= DEFAULT_TOLERANCES.structural:
             raise NormalizationError(
                 f"amplitudes have norm {np.linalg.norm(amps)!r}, expected 1"
             )
@@ -80,19 +81,21 @@ class DensityMatrix:
                 f"got shape {mat.shape}"
             )
         tol = DEFAULT_TOLERANCES
-        if np.max(np.abs(mat - mat.conj().T)) > tol.structural:
+        # Written as "not (err <= tol)" so that NaN fails every check.
+        if not np.max(np.abs(mat - mat.conj().T)) <= tol.structural:
             raise DomainError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > tol.structural or abs(np.trace(mat).imag) > tol.structural:
-            raise DomainError(f"trace is {np.trace(mat)!r}, expected 1")
+        trace = np.trace(mat)
+        if not (abs(trace.real - 1.0) <= tol.structural and abs(trace.imag) <= tol.structural):
+            raise DomainError(f"trace is {trace!r}, expected 1")
         if dim <= PSD_CHECK_MAX_DIM:
-            if np.linalg.eigvalsh(mat)[0] < -tol.psd:
+            if not np.linalg.eigvalsh(mat)[0] >= -tol.psd:
                 raise DomainError("matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "entries", _freeze(mat))
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > DEFAULT_TOLERANCES.input_normalization:
+    if not abs(norm - 1.0) <= DEFAULT_TOLERANCES.input_normalization:
         raise NormalizationError(f"coefficients have norm {norm!r}, expected 1")
     return amps / norm
 
@@ -101,6 +104,8 @@ def make_gghz(n: int, theta: float) -> PureState:
     """Generalized GHZ state cos(theta)|0...0> + sin(theta)|1...1>."""
     if n < 3:
         raise InvalidArityError(f"GGHZ state needs at least 3 qubits, got {n}")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = math.cos(theta)
     amps[-1] = math.sin(theta)
@@ -115,6 +120,8 @@ def make_ms(n: int, theta: float) -> PureState:
     """
     if n < 4:
         raise InvalidArityError(f"MS state needs at least 4 qubits, got {n}")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     amps = np.zeros(2**n, dtype=complex)
     s = 1.0 / math.sqrt(2.0)
     amps[0] = s
@@ -148,12 +155,12 @@ def make_dicke(n: int, m: int) -> PureState:
     """
     if not 0 <= m <= n:
         raise InvalidArityError(f"need 0 <= m <= n, got m={m}, n={n}")
-    ones = n - m
-    coeff = 1.0 / math.sqrt(comb(n, m))
+    idx = np.arange(2**n)
+    popcount = np.zeros(2**n, dtype=np.int64)
+    for bit in range(n):
+        popcount += (idx >> bit) & 1
     amps = np.zeros(2**n, dtype=complex)
-    for idx in range(2**n):
-        if idx.bit_count() == ones:
-            amps[idx] = coeff
+    amps[popcount == n - m] = 1.0 / math.sqrt(comb(n, m))
     return PureState(n, amps)
 
 
@@ -209,8 +216,53 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(len(kept), a @ a.conj().T)
 
 
-_FAMILIES = ("GGHZ", "MS", "WCLASS", "DICKE", "CUSTOM")
 _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")
+# JSON fields of each family besides "family"; "n" is the qubit count,
+# which W-class specs leave implicit (four).
+_FIELDS = {
+    "GGHZ": ("n", "theta"),
+    "MS": ("n", "theta"),
+    "WCLASS": _WCLASS_KEYS,
+    "DICKE": ("n", "m"),
+    "CUSTOM": ("n", "amplitudes"),
+}
+_FAMILIES = tuple(_FIELDS)
+
+
+def _check_fields(family: object, given: set, implicit: set = frozenset()) -> None:
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown family {family!r}, expected one of {_FAMILIES}")
+    expected = set(_FIELDS[family]) - implicit
+    unknown = given - expected
+    if unknown:
+        raise DomainError(f"unexpected fields for {family}: {sorted(unknown)}")
+    missing = expected - given
+    if missing:
+        raise DomainError(f"missing fields for {family}: {sorted(missing)}")
+
+
+def _real(name: str, value: object) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DomainError(f"field {name!r} must be a real number, got {value!r}")
+
+
+def _integer(name: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise DomainError(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _amplitudes(value: object) -> np.ndarray:
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value):
+        raise DomainError(f"field 'amplitudes' must be a list of [re, im] pairs, "
+                          f"got {value!r}")
+    return np.array([complex(_real("amplitudes", re), _real("amplitudes", im))
+                     for re, im in value], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,36 +277,38 @@ class StateSpec:
        "delta": d, "lambda": l}
       {"family": "DICKE", "n": 4, "m": 3}
       {"family": "CUSTOM", "n": 3, "amplitudes": [[re, im], ...]}
+
+    Construction checks the family, field names and field types, then
+    builds the state with the family constructor, which owns every range,
+    arity and normalization check.  params are kept as given.
     """
 
     family: str
     num_qubits: int
     params: Mapping[str, object]
+    _pure: PureState = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if self.family == "WCLASS":
-            sq = sum(float(self.params[k]) ** 2 for k in _WCLASS_KEYS)
-            if abs(sq - 1.0) > DEFAULT_TOLERANCES.input_normalization:
-                raise NormalizationError(
-                    f"WCLASS squared coefficients sum to {sq!r}, expected 1"
-                )
-            if self.num_qubits != 4:
-                raise InvalidArityError("WCLASS states are four-qubit states")
+        _check_fields(self.family, set(self.params), implicit={"n"})
+        n, p = _integer("n", self.num_qubits), self.params
+        if self.family == "GGHZ":
+            psi = make_gghz(n, _real("theta", p["theta"]))
+        elif self.family == "MS":
+            psi = make_ms(n, _real("theta", p["theta"]))
+        elif self.family == "WCLASS":
+            psi = make_wclass(*(_real(k, p[k]) for k in _WCLASS_KEYS))
+        elif self.family == "DICKE":
+            psi = make_dicke(n, _integer("m", p["m"]))
+        else:
+            psi = PureState(n, _normalized(_amplitudes(p["amplitudes"])))
+        if psi.num_qubits != n:
+            raise InvalidArityError(f"{self.family} states have {psi.num_qubits} "
+                                    f"qubits, got n={n}")
+        object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "_pure", psi)
 
     def to_pure(self) -> PureState:
-        p = self.params
-        if self.family == "GGHZ":
-            return make_gghz(self.num_qubits, float(p["theta"]))
-        if self.family == "MS":
-            return make_ms(self.num_qubits, float(p["theta"]))
-        if self.family == "WCLASS":
-            return make_wclass(*(float(p[k]) for k in _WCLASS_KEYS))
-        if self.family == "DICKE":
-            return make_dicke(self.num_qubits, int(p["m"]))
-        amps = np.array([complex(re, im) for re, im in p["amplitudes"]])
-        return PureState(self.num_qubits, _normalized(amps))
+        return self._pure
 
     def to_dict(self) -> dict:
         out: dict[str, object] = {"family": self.family}
@@ -272,30 +326,13 @@ class StateSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "StateSpec":
+        if not isinstance(data, Mapping):
+            raise DomainError("state JSON must be an object")
         if "family" not in data:
             raise DomainError("state JSON must carry a 'family' field")
-        family = str(data["family"])
-        if family not in _FAMILIES:
-            raise DomainError(f"unknown family {family!r}, expected one of {_FAMILIES}")
-        expected = {
-            "GGHZ": {"family", "n", "theta"},
-            "MS": {"family", "n", "theta"},
-            "WCLASS": set(_WCLASS_KEYS) | {"family"},
-            "DICKE": {"family", "n", "m"},
-            "CUSTOM": {"family", "n", "amplitudes"},
-        }[family]
-        unknown = set(data) - expected
-        if unknown:
-            raise DomainError(f"unexpected fields for {family}: {sorted(unknown)}")
-        missing = expected - set(data)
-        if missing:
-            raise DomainError(f"missing fields for {family}: {sorted(missing)}")
-        if family == "WCLASS":
-            n = 4
-        else:
-            n = int(data["n"])
+        _check_fields(data["family"], set(data) - {"family"})
         params = {k: data[k] for k in data if k not in ("family", "n")}
-        return cls(family, n, params)
+        return cls(data["family"], data.get("n", 4), params)
 
     @classmethod
     def from_json(cls, text: str) -> "StateSpec":
@@ -303,6 +340,4 @@ class StateSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"malformed state JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DomainError("state JSON must be an object")
         return cls.from_dict(data)

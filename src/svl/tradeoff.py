@@ -12,7 +12,8 @@ Both are exposed and neither is asserted as ground truth for the
 W-class bounds.  The maximal-slice sum bound has a "corrected" reading
 too; unlike the printed one it is certified: each of its terms equals
 the 4*lambda1 bound of the reduction it stands for, and the maximized
-values reach those bounds.
+values reach those bounds.  The other bounds have the verbatim reading
+only, and verify_tradeoff rejects "corrected" for them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 from .config import DEFAULT_TOLERANCES, OptimizerOptions
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError, NormalizationError
-from .qstate import StateSpec, reduce_pure
+from .qstate import _WCLASS_KEYS, StateSpec, reduce_pure
 from .svetlichny import maximize_svetlichny
 
 __all__ = [
@@ -67,7 +68,7 @@ class WClassCoefficients:
     def __post_init__(self):
         sq = (self.alpha**2 + self.beta**2 + self.gamma**2
               + self.delta**2 + self.lam**2)
-        if abs(sq - 1.0) > DEFAULT_TOLERANCES.input_normalization:
+        if not abs(sq - 1.0) <= DEFAULT_TOLERANCES.input_normalization:
             raise NormalizationError(f"squared coefficients sum to {sq!r}, expected 1")
 
 
@@ -289,11 +290,8 @@ class TradeoffReport:
         return json.dumps(self.to_dict())
 
 
-def _wcoeffs_from_spec(spec: StateSpec) -> WClassCoefficients:
-    p = spec.params
-    return WClassCoefficients(float(p["alpha"]), float(p["beta"]),
-                              float(p["gamma"]), float(p["delta"]),
-                              float(p["lambda"]))
+def _wcoeffs(spec: StateSpec) -> WClassCoefficients:
+    return WClassCoefficients(*(spec.params[k] for k in _WCLASS_KEYS))
 
 
 @dataclass(frozen=True)
@@ -302,41 +300,25 @@ class _BoundRule:
     family: str
     min_qubits: int
     max_qubits: int | None
+    variants: tuple[str, ...]
     rhs: Callable[[StateSpec, str], float]
 
 
-def _rhs_gghz(spec: StateSpec, variant: str) -> float:
-    return bound_gghz_sum(float(spec.params["theta"]))
-
-
-def _rhs_gghz_n(spec: StateSpec, variant: str) -> float:
-    return bound_gghz_sum_n(spec.num_qubits, float(spec.params["theta"]))
-
-
-def _rhs_ms(spec: StateSpec, variant: str) -> float:
-    return bound_ms_sum(float(spec.params["theta"]), variant)
-
-
-def _rhs_ms_n(spec: StateSpec, variant: str) -> float:
-    return bound_ms_sum_n(spec.num_qubits, float(spec.params["theta"]))
-
-
-def _rhs_wclass(spec: StateSpec, variant: str) -> float:
-    return bound_wclass_sum(_wcoeffs_from_spec(spec), variant)
-
-
-def _rhs_wclass_squares(spec: StateSpec, variant: str) -> float:
-    return bound_wclass_sum_squares(_wcoeffs_from_spec(spec))
-
-
-# Registry keyed by the bound identifiers the CLI accepts.
+# Registry keyed by the bound identifiers the CLI accepts.  Each rule
+# lists the readings its bound has; only theorem2 and theorem3 have two.
 _BOUND_RULES: dict[str, _BoundRule] = {
-    "theorem1": _BoundRule("sum", "GGHZ", 4, 4, _rhs_gghz),
-    "corollary1": _BoundRule("sum", "GGHZ", 4, None, _rhs_gghz_n),
-    "theorem2": _BoundRule("sum", "MS", 4, 4, _rhs_ms),
-    "corollary2": _BoundRule("sum", "MS", 4, None, _rhs_ms_n),
-    "theorem3": _BoundRule("sum", "WCLASS", 4, 4, _rhs_wclass),
-    "eqn3p": _BoundRule("sum_squares", "WCLASS", 4, 4, _rhs_wclass_squares),
+    "theorem1": _BoundRule("sum", "GGHZ", 4, 4, ("verbatim",),
+                           lambda s, v: bound_gghz_sum(s.params["theta"])),
+    "corollary1": _BoundRule("sum", "GGHZ", 4, None, ("verbatim",),
+                             lambda s, v: bound_gghz_sum_n(s.num_qubits, s.params["theta"])),
+    "theorem2": _BoundRule("sum", "MS", 4, 4, VARIANTS,
+                           lambda s, v: bound_ms_sum(s.params["theta"], v)),
+    "corollary2": _BoundRule("sum", "MS", 4, None, ("verbatim",),
+                             lambda s, v: bound_ms_sum_n(s.num_qubits, s.params["theta"])),
+    "theorem3": _BoundRule("sum", "WCLASS", 4, 4, VARIANTS,
+                           lambda s, v: bound_wclass_sum(_wcoeffs(s), v)),
+    "eqn3p": _BoundRule("sum_squares", "WCLASS", 4, 4, ("verbatim",),
+                        lambda s, v: bound_wclass_sum_squares(_wcoeffs(s))),
 }
 
 BOUND_NAMES = tuple(_BOUND_RULES)
@@ -350,13 +332,16 @@ def verify_tradeoff(spec: StateSpec, bound: str,
 
     The aggregation mode (sum versus sum of squares) is fixed per bound;
     passing a mismatched mode raises DomainError so results for different
-    forms cannot be conflated.  Optimizer non-convergence is flagged on
-    the report, not raised.
+    forms cannot be conflated.  A variant the bound has no reading for
+    raises DomainError too.  Optimizer non-convergence is flagged on the
+    report, not raised.
     """
-    _check_variant(variant)
     if bound not in _BOUND_RULES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
     rule = _BOUND_RULES[bound]
+    if variant not in rule.variants:
+        raise DomainError(f"bound {bound!r} has no {variant!r} reading, "
+                          f"only {rule.variants}")
     if mode is not None and mode != rule.mode:
         raise DomainError(f"bound {bound!r} aggregates by {rule.mode!r}, not {mode!r}")
     if spec.family != rule.family:

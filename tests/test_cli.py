@@ -137,6 +137,45 @@ class TestErrors:
                                "--state", GGHZ4, "--restarts", "4")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":NaN}'], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":Infinity}'], 3),
+        (["bound", "--state", '{"family":"MS","n":4,"theta":-Infinity}'], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":"a"}'], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":null}'], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":true}'], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":"a"}', "--degrees"], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":"x","theta":0}'], 3),
+        (["bound", "--state", '{"family":"CUSTOM","n":1,"amplitudes":5}'], 3),
+        (["bound", "--state", '{"family":"CUSTOM","n":1,"amplitudes":[[1,0],[0]]}'], 3),
+        (["bound", "--state", '{"family":"WCLASS","alpha":"x","beta":0,'
+                              '"gamma":0,"delta":0,"lambda":1}'], 3),
+        (["bound", "--state", '{"family":"WCLASS","alpha":NaN,"beta":0,'
+                              '"gamma":0,"delta":0,"lambda":1}'], 3),
+        (["bound", "--state", GHZ3, "--seed", "-1"], 2),
+        (["bound", "--state", GHZ3, "--output", "/nonexistent/x.json"], 2),
+        (["bound", "--state", '{"family":"GGHZ","n":3.7,"theta":0}'], 3),
+        (["bound", "--state", '{"family":"DICKE","n":3,"m":1.9}'], 3),
+        (["bound", "--state", '{"family":"GGHZ","n":3,"theta":1' + "0" * 5000 + "}"], 2),
+    ])
+    def test_bad_input_is_one_line_error(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("svl")]) == 1
+
+    def test_unreadable_state_file_is_argument_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "bound", "--state-file",
+                               str(tmp_path / "missing.json"))
+        assert code == 2
+        assert err.startswith("svl: ")
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"family": "GGHZ"}')
+        code, _, err = run_cli(capsys, "bound", "--state-file", str(path))
+        assert code == 2
+        assert err.startswith("svl: ")
+
 
 class TestTensorVerb:
     def test_ghz_tensor_csv(self, capsys):
@@ -182,6 +221,30 @@ class TestTradeoffVerb:
         lines = out.strip().splitlines()
         assert lines[0].startswith("keep,value,")
         assert len(lines) == 5
+
+    def test_integer_theta_echoed_unchanged(self, capsys):
+        spec = '{"family":"GGHZ","n":4,"theta":1}'
+        code, out, _ = run_cli(capsys, "tradeoff", "theorem1", "--state", spec,
+                               "--restarts", "2")
+        assert code == 0
+        assert '"params": {"theta": 1}' in out
+        assert json.loads(out)["rhs"] == pytest.approx(16 * abs(math.cos(2.0)),
+                                                       abs=1e-12)
+
+    @pytest.mark.parametrize("bound, spec", [
+        ("theorem1", GGHZ4),
+        ("corollary1", '{"family":"GGHZ","n":5,"theta":0.4}'),
+        ("corollary2", '{"family":"MS","n":5,"theta":2.0}'),
+        ("eqn3p", '{"family":"WCLASS","alpha":0.6,"beta":0,"gamma":0,'
+                  '"delta":0.8,"lambda":0}'),
+    ])
+    def test_corrected_variant_of_one_reading_bound_is_domain_error(
+            self, capsys, bound, spec):
+        code, out, err = run_cli(capsys, "tradeoff", bound, "--state", spec,
+                                 "--restarts", "2", "--variant", "corrected")
+        assert code == 3
+        assert out == ""
+        assert "no 'corrected' reading" in err
 
     def test_ms_corrected_variant(self, capsys):
         theta = 2 * math.pi / 3

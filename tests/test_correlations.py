@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from svl import (
+    CorrelationMatrix2,
     CorrelationTensor3,
+    DomainError,
     DensityMatrix,
     InvalidArityError,
     PureState,
@@ -79,6 +81,17 @@ class TestCorrelationTensor:
         from svl.correlations import _flattening_self_check
 
         _flattening_self_check()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tensor_and_matrix_reject_non_finite_entries(self, bad):
+        m = np.zeros((3, 3, 3))
+        m[1, 2, 0] = bad
+        with pytest.raises(DomainError):
+            CorrelationTensor3(m)
+        t = np.zeros((3, 3))
+        t[2, 1] = bad
+        with pytest.raises(DomainError):
+            CorrelationMatrix2(t)
 
 
 class TestFlattening:

@@ -107,6 +107,27 @@ class TestConstructors:
         assert psi.amplitudes[0] == 1.0
         assert np.count_nonzero(psi.amplitudes) == 1
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dicke_matches_bit_count_loop(self, n):
+        for m in range(n + 1):
+            expected = np.zeros(2**n, dtype=complex)
+            for idx in range(2**n):
+                if bin(idx).count("1") == n - m:
+                    expected[idx] = 1.0 / math.sqrt(math.comb(n, m))
+            assert np.array_equal(make_dicke(n, m).amplitudes, expected)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_gghz_and_ms_reject_non_finite_theta(self, theta):
+        with pytest.raises(DomainError):
+            make_gghz(3, theta)
+        with pytest.raises(DomainError):
+            make_ms(4, theta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_wclass_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(NormalizationError):
+            make_wclass(bad, 0.0, 0.0, 0.0, 1.0)
+
     def test_dicke_rejects_out_of_range(self):
         with pytest.raises(InvalidArityError):
             make_dicke(4, 5)
@@ -161,6 +182,21 @@ class TestDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError):
+            DensityMatrix(1, np.array([[bad, 0.0], [0.0, 0.5]]))
+        with pytest.raises(DomainError):
+            DensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
+        with pytest.raises(DomainError):
+            DensityMatrix(1, np.full((2, 2), bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(NormalizationError):
+            PureState(1, np.array([bad, 0.0]))
 
 
 class TestPartialTrace:
@@ -297,3 +333,54 @@ class TestStateSpec:
             StateSpec.from_json(
                 '{"family":"WCLASS","alpha":1,"beta":1,"gamma":0,'
                 '"delta":0,"lambda":0}')
+
+    def test_direct_wclass_with_wrong_qubit_count(self):
+        with pytest.raises(InvalidArityError):
+            StateSpec("WCLASS", 5, {"alpha": 0.0, "beta": 0.0, "gamma": 0.0,
+                                    "delta": 0.0, "lambda": 1.0})
+
+    def test_integral_float_qubit_count_accepted(self):
+        spec = StateSpec.from_json('{"family":"GGHZ","n":4.0,"theta":0.3}')
+        assert spec.num_qubits == 4 and type(spec.num_qubits) is int
+        np.testing.assert_array_equal(spec.to_pure().amplitudes,
+                                      make_gghz(4, 0.3).amplitudes)
+        dicke = StateSpec.from_json('{"family":"DICKE","n":4,"m":3.0}')
+        np.testing.assert_array_equal(dicke.to_pure().amplitudes,
+                                      make_dicke(4, 3).amplitudes)
+
+    def test_to_pure_returns_one_state(self):
+        spec = StateSpec("MS", 4, {"theta": 1.0})
+        assert spec.to_pure() is spec.to_pure()
+
+    @pytest.mark.parametrize("text", [
+        '{"family":"GGHZ","n":3,"theta":"a"}',
+        '{"family":"GGHZ","n":3,"theta":null}',
+        '{"family":"GGHZ","n":3,"theta":false}',
+        '{"family":"GGHZ","n":3,"theta":1' + '0' * 400 + '}',
+        '{"family":"GGHZ","n":"x","theta":0}',
+        '{"family":"GGHZ","n":3.7,"theta":0}',
+        '{"family":"GGHZ","n":true,"theta":0}',
+        '{"family":"DICKE","n":3,"m":1.9}',
+        '{"family":"DICKE","n":3,"m":NaN}',
+        '{"family":"CUSTOM","n":1,"amplitudes":5}',
+        '{"family":"CUSTOM","n":1,"amplitudes":[[1,0],[0]]}',
+        '{"family":"CUSTOM","n":1,"amplitudes":[[1,0],["a",0]]}',
+        '{"family":"WCLASS","alpha":"x","beta":0,"gamma":0,"delta":0,"lambda":1}',
+        '{"family":["GGHZ"],"n":3,"theta":0}',
+        '[1, 2]',
+    ])
+    def test_rejects_field_types(self, text):
+        with pytest.raises(DomainError):
+            StateSpec.from_json(text)
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"family":"GGHZ","n":3,"theta":NaN}', DomainError),
+        ('{"family":"MS","n":4,"theta":Infinity}', DomainError),
+        ('{"family":"WCLASS","alpha":NaN,"beta":0,"gamma":0,"delta":0,"lambda":1}',
+         NormalizationError),
+        ('{"family":"CUSTOM","n":1,"amplitudes":[[NaN,0],[0,0]]}',
+         NormalizationError),
+    ])
+    def test_rejects_non_finite_values(self, text, error):
+        with pytest.raises(error):
+            StateSpec.from_json(text)

@@ -186,6 +186,13 @@ class TestWclassSumBound:
         with pytest.raises(DomainError):
             bound_wclass_sum(WClassCoefficients(1, 0, 0, 0, 0), "fixed")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(NormalizationError):
+            WClassCoefficients(bad, 0.0, 0.0, 1.0)
+        with pytest.raises(NormalizationError):
+            WClassCoefficients(0.0, 0.0, 0.0, 1.0, bad)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
             WClassCoefficients(1.0, 1.0, 0.0, 0.0, 0.0)
@@ -318,6 +325,22 @@ class TestVerifyTradeoff:
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
         with pytest.raises(DomainError):
             verify_tradeoff(spec, "theorem9", FAST)
+
+    @pytest.mark.parametrize("bound, spec", [
+        ("theorem1", StateSpec("GGHZ", 4, {"theta": 0.3})),
+        ("corollary1", StateSpec("GGHZ", 5, {"theta": 0.3})),
+        ("corollary2", StateSpec("MS", 5, {"theta": 2.0})),
+        ("eqn3p", StateSpec("WCLASS", 4, {"alpha": 0.6, "beta": 0.0, "gamma": 0.0,
+                                          "delta": 0.8, "lambda": 0.0})),
+    ])
+    def test_one_reading_bounds_reject_corrected(self, bound, spec):
+        with pytest.raises(DomainError, match="no 'corrected' reading"):
+            verify_tradeoff(spec, bound, FAST, variant="corrected")
+
+    def test_unknown_variant_rejected(self):
+        spec = StateSpec("MS", 4, {"theta": 2.0})
+        with pytest.raises(DomainError):
+            verify_tradeoff(spec, "theorem2", FAST, variant="symmetric")
 
     def test_report_round_trips_to_json(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
