@@ -34,23 +34,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
-    return seed
+def _checked(convert, ok, what: str):
+    """An argparse type that converts, then rejects values failing ok."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=42,
-                        help="seed for all randomized restarts (default 42)")
+    common.add_argument("--seed", type=_checked(int, lambda k: k >= 0, "non-negative"),
+                        default=42, help="seed for all randomized restarts (default 42)")
     common.add_argument("--restarts", type=int, default=64,
                         help="optimizer restarts (default 64)")
-    common.add_argument("--max-iter", type=int, default=2000,
-                        help="iteration cap per restart (default 2000)")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="simplex convergence diameter (default 1e-10)")
+    common.add_argument("--max-iter", type=_checked(int, lambda k: k >= 1, "at least 1"),
+                        default=2000, help="see-saw sweep cap per restart (default 2000)")
+    common.add_argument("--tol", default=1e-10,
+                        type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"),
+                        help="largest direction change in the sweep at which a restart "
+                             "converges (default 1e-10)")
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (default json; figure defaults to csv)")
     common.add_argument("--output", default=None,

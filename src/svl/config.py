@@ -30,11 +30,12 @@ PSD_CHECK_MAX_DIM = 256
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Controls for the multi-start simplex search over measurement angles.
+    """Controls for the multi-start see-saw over measurement directions.
 
     restarts: number of independent uniform-random starting points.
-    max_iter: iteration cap per start.
-    tol: simplex diameter at which a start counts as converged.
+    max_iter: sweep cap per start (one sweep updates all three parties).
+    tol: a start converges on the first sweep in which no direction
+        moves by more than this in any Cartesian component.
     seed: 64-bit seed from which all restart seeds are derived.
     """
 

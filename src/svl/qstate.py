@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# Largest qubit count the family constructors and maximally_mixed accept,
+# checked before any 2**n allocation (a 20-qubit state holds 16 MiB).
+MAX_QUBITS = 20
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -102,8 +107,8 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
 
 def make_gghz(n: int, theta: float) -> PureState:
     """Generalized GHZ state cos(theta)|0...0> + sin(theta)|1...1>."""
-    if n < 3:
-        raise InvalidArityError(f"GGHZ state needs at least 3 qubits, got {n}")
+    if not 3 <= n <= MAX_QUBITS:
+        raise InvalidArityError(f"GGHZ state needs 3 to {MAX_QUBITS} qubits, got {n}")
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
     amps = np.zeros(2**n, dtype=complex)
@@ -118,8 +123,8 @@ def make_ms(n: int, theta: float) -> PureState:
     Amplitude 1/sqrt(2) on |0...0>, cos(theta)/sqrt(2) on |1...10> and
     sin(theta)/sqrt(2) on |1...11>.
     """
-    if n < 4:
-        raise InvalidArityError(f"MS state needs at least 4 qubits, got {n}")
+    if not 4 <= n <= MAX_QUBITS:
+        raise InvalidArityError(f"MS state needs 4 to {MAX_QUBITS} qubits, got {n}")
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
     amps = np.zeros(2**n, dtype=complex)
@@ -153,8 +158,8 @@ def make_dicke(n: int, m: int) -> PureState:
     zeros and n - m ones, so make_dicke(4, 3) is the four-qubit W state
     and make_dicke(n, n) is |0...0>.
     """
-    if not 0 <= m <= n:
-        raise InvalidArityError(f"need 0 <= m <= n, got m={m}, n={n}")
+    if not 0 <= m <= n <= MAX_QUBITS:
+        raise InvalidArityError(f"need 0 <= m <= n <= {MAX_QUBITS}, got m={m}, n={n}")
     idx = np.arange(2**n)
     popcount = np.zeros(2**n, dtype=np.int64)
     for bit in range(n):
@@ -170,8 +175,8 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
-    if n < 1:
-        raise InvalidArityError("num_qubits must be a positive integer")
+    if not 1 <= n <= MAX_QUBITS:
+        raise InvalidArityError(f"num_qubits must lie in [1, {MAX_QUBITS}], got {n}")
     dim = 2**n
     return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
 

@@ -84,14 +84,6 @@ class SvetlichnySettings:
             out[2 * k + 1] = v.phi
         return out
 
-    @classmethod
-    def from_angles(cls, x) -> "SvetlichnySettings":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (12,):
-            raise InvalidArityError(f"expected 12 angles, got shape {x.shape}")
-        vs = [BlochVector(x[2 * k], x[2 * k + 1]) for k in range(6)]
-        return cls(*vs)
-
     def to_dict(self) -> dict:
         return {
             name: {"theta": v.theta, "phi": v.phi}
@@ -143,70 +135,129 @@ def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
     return val.real
 
 
-def _tensor_value(m: np.ndarray, x: np.ndarray) -> float:
-    # Same expectation as svetlichny_value, expressed through the
-    # correlation tensor; this is the optimizer's hot path.
-    th = x[0::2]
-    ph = x[1::2]
-    st = np.sin(th)
-    v = np.empty((6, 3))
-    v[:, 0] = st * np.cos(ph)
-    v[:, 1] = st * np.sin(ph)
-    v[:, 2] = np.cos(th)
-    a, ap, b, bp, c, cp = v
-    k1 = m @ c
-    k2 = m @ cp
-    dp = b + bp
-    dm = b - bp
-    return float(a @ (k1 @ dp) + a @ (k2 @ dm) + ap @ (k1 @ dm) - ap @ (k2 @ dp))
+# S is the sum over x, y, z in {0, 1} of _SIGN[x, y, z] X_x Y_y Z_z, where
+# index 1 picks a party's primed setting: a term is negative when two or
+# more of its settings are primed.
+_SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]])
+
+# A coefficient vector at most this long keeps its old direction; such a
+# party contributes at most twice this much to the value.
+_ZERO_COEFFICIENT = 1e-12
+
+# Step lengths tried along each Newton direction, longest first.
+_STEPS = 0.5 ** np.arange(8)
+
+# Curvatures at most this share of the largest in size count as flat, and
+# the Newton step does not move along them.
+_FLAT = 1e-10
 
 
-def _nelder_mead(fn, x0: np.ndarray, max_iter: int, xatol: float,
-                 initial_step: float = 0.4):
-    """Downhill simplex minimization; returns (x, fx, converged, evals)."""
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] += initial_step
-    fx = np.array([fn(p) for p in sim])
-    evals = n + 1
-    converged = False
+def _form(m: np.ndarray) -> np.ndarray:
+    """The value as a trilinear form of the parties' pairs (a, a'), (b, b'),
+    (c, c'), each flattened to 6 entries: form[x i, y j, z k] =
+    _SIGN[x, y, z] m[i, j, k]."""
+    form = _SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]
+    return form.reshape(6, 6, 6)
+
+
+def _coefficients(m: np.ndarray, v: np.ndarray, party: int) -> np.ndarray:
+    """Coefficient vectors of one party's two settings, the others fixed.
+
+    v holds unit vectors (a, a', b, b', c, c') of shape (R, 6, 3).  The
+    value of restart r is the sum over x of v[r, 2*party + x] . out[r, x],
+    so out[r, x] / |out[r, x]| is the best setting x of that party.  Each
+    restart's result is a sum over its own entries, in an order that does
+    not depend on the batch.
+    """
+    first, second = (k for k in range(3) if k != party)
+    pairs = v.reshape(len(v), 3, 6)
+    return np.einsum("ijk,rj,rk->ri", np.moveaxis(_form(m), party, 0),
+                     pairs[:, first], pairs[:, second]).reshape(-1, 2, 3)
+
+
+def _sweep(m: np.ndarray, v: np.ndarray):
+    """One see-saw sweep: (a, a'), (b, b') and (c, c') are set in turn to
+    their normalized coefficient vectors, which never lowers the value (up
+    to the near-zero coefficients that keep their direction).  Returns the
+    new directions and their value."""
+    v = v.copy()
+    for party in range(3):
+        coef = _coefficients(m, v, party)
+        norm = np.linalg.norm(coef, axis=2, keepdims=True)
+        pair = v[:, 2 * party:2 * party + 2]
+        pair[...] = np.where(norm > _ZERO_COEFFICIENT,
+                             coef / np.maximum(norm, _ZERO_COEFFICIENT), pair)
+    return v, (pair * coef).sum(axis=(1, 2))
+
+
+def _newton_step(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Newton step of the value on the product of the six unit spheres.
+
+    In a basis of the twelve tangent directions the Riemannian Hessian is
+    B^T (H - L) B, with H the Hessian of the trilinear value in the 18
+    Cartesian components and L each direction's own coefficient v_k . g_k.
+    Each curvature is taken by its size, so the step climbs along every
+    eigendirection, also away from a maximum; flat ones are left out.
+    """
+    form, r = _form(m), len(v)
+    pairs = v.reshape(r, 3, 6)
+    hess = np.zeros((r, 3, 6, 3, 6))
+    for p, q, s in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        hess[:, p, :, q] = np.einsum("ijk,rk->rij", np.transpose(form, (p, q, s)),
+                                     pairs[:, s])
+        hess[:, q, :, p] = hess[:, p, :, q].transpose(0, 2, 1)
+    hess, vec = hess.reshape(r, 18, 18), v.reshape(r, 18)
+    grad = (hess @ vec[..., None])[..., 0] / 2.0
+    own = np.repeat((grad * vec).reshape(r, 6, 3).sum(axis=2), 3, axis=1)
+    # Two unit tangents per direction, built from the axis it is closest
+    # to being orthogonal to, so the cross product never degenerates.
+    e1 = np.cross(v, np.eye(3)[np.abs(v).argmin(axis=2)])
+    e1 /= np.linalg.norm(e1, axis=2, keepdims=True)
+    frame = np.stack([e1, np.cross(v, e1)], axis=3)
+    basis = (np.eye(6)[:, None, :, None] * frame[:, :, :, None]).reshape(r, 18, 12)
+    back = basis.transpose(0, 2, 1)
+    curv, eig = np.linalg.eigh(back @ (hess - own[:, None] * np.eye(18)) @ basis)
+    size = np.abs(curv)
+    along = (eig.transpose(0, 2, 1) @ (back @ grad[..., None]))[..., 0]
+    along = np.divide(along, size, out=np.zeros_like(along),
+                      where=size > _FLAT * size.max(axis=1, keepdims=True))
+    return (basis @ (eig @ along[..., None]))[..., 0].reshape(r, 6, 3)
+
+
+def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
+    """Alternating maximization from the unit-vector starts v (R, 6, 3).
+
+    Each sweep is one see-saw sweep followed by a Newton step from its
+    result, at the best of _STEPS and only if that raises the value, so
+    the value never drops; where the see-saw alone crawls (nearly flat
+    maxima) the Newton step converges in a few sweeps.  A restart
+    converges, and stops, on the first sweep whose see-saw part moves no
+    component of any direction more than tol.  Returns the directions,
+    the value after the last step, the number of sweeps and the converged
+    flag of every restart.
+    """
+    v = v.copy()
+    value = np.zeros(len(v))
+    sweeps = np.zeros(len(v), dtype=np.int64)
+    converged = np.zeros(len(v), dtype=bool)
     for _ in range(max_iter):
-        order = np.argsort(fx)
-        sim = sim[order]
-        fx = fx[order]
-        if np.max(np.abs(sim[1:] - sim[0])) < xatol:
-            converged = True
+        live = np.flatnonzero(~converged)
+        if live.size == 0:
             break
-        centroid = sim[:-1].mean(axis=0)
-        xr = centroid + (centroid - sim[-1])
-        fr = fn(xr)
-        evals += 1
-        if fr < fx[0]:
-            xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = fn(xe)
-            evals += 1
-            if fe < fr:
-                sim[-1], fx[-1] = xe, fe
-            else:
-                sim[-1], fx[-1] = xr, fr
-        elif fr < fx[-2]:
-            sim[-1], fx[-1] = xr, fr
-        else:
-            if fr < fx[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (sim[-1] - centroid)
-            fc = fn(xc)
-            evals += 1
-            if fc < min(fr, fx[-1]):
-                sim[-1], fx[-1] = xc, fc
-            else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fx[1:] = [fn(p) for p in sim[1:]]
-                evals += n
-    best = int(np.argmin(fx))
-    return sim[best], fx[best], converged, evals
+        old = v[live]
+        cur, val = _sweep(m, old)
+        done = np.abs(cur - old).max(axis=(1, 2)) <= tol
+        trial = cur[:, None] + _STEPS[:, None, None] * _newton_step(m, cur)[:, None]
+        trial = (trial / np.linalg.norm(trial, axis=3, keepdims=True)).reshape(-1, 6, 3)
+        tval = (trial[:, 4:] * _coefficients(m, trial, 2)).sum(axis=(1, 2))
+        best = (tval.reshape(-1, len(_STEPS)).argmax(axis=1)
+                + len(_STEPS) * np.arange(len(live)))
+        up = ~done & (tval[best] > val)
+        v[live] = np.where(up[:, None, None], trial[best], cur)
+        value[live] = np.where(up, tval[best], val)
+        sweeps[live] += 1
+        converged[live] = done
+    return v, value, sweeps, converged
 
 
 @dataclass(frozen=True)
@@ -222,13 +273,19 @@ class SvetlichnyMaximum:
 
 def maximize_svetlichny(rho: DensityMatrix,
                         opts: OptimizerOptions | None = None) -> SvetlichnyMaximum:
-    """Maximize Tr(S rho) over all settings by multi-start simplex search.
+    """Maximize Tr(S rho) over all settings by a multi-start see-saw.
 
-    Restart k draws its starting angles from a generator seeded
-    deterministically by (opts.seed, k), so enlarging the restart budget
-    keeps the earlier starts unchanged.  If the best restart hit the
-    iteration cap before its simplex collapsed, the best value found so
-    far is still returned with converged set to False.
+    The value is linear in each party's pair of settings, so for fixed
+    other settings the best pair is the normalized pair of coefficient
+    vectors.  All restarts sweep over the three parties in one batch
+    (alternating maximization; Pal and Vertesi, PRA 82, 022116 (2010)),
+    and each sweep ends with a safeguarded Newton step (_seesaw).
+    Restart k draws its starting unit vectors from a generator seeded
+    deterministically by (opts.seed, k), and its arithmetic does not
+    depend on the other restarts, so enlarging the restart budget keeps
+    the earlier restarts unchanged.  evaluations counts sweeps over all
+    restarts.  If the best restart used all opts.max_iter sweeps without
+    converging, its value is still returned with converged set to False.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -237,27 +294,15 @@ def maximize_svetlichny(rho: DensityMatrix,
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
     m = correlation_tensor(rho).m
-
-    def neg(x: np.ndarray) -> float:
-        return -_tensor_value(m, x)
-
-    lo = np.array([0.0, 0.0] * 6)
-    hi = np.array([math.pi, 2.0 * math.pi] * 6)
-    best_x = None
-    best_f = math.inf
-    best_conv = False
-    total_evals = 0
-    for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts):
-        rng = np.random.default_rng(child)
-        x0 = rng.uniform(lo, hi)
-        x, fx, conv, ev = _nelder_mead(neg, x0, opts.max_iter, opts.tol)
-        total_evals += ev
-        if fx < best_f:
-            best_x, best_f, best_conv = x, fx, conv
-    settings = SvetlichnySettings.from_angles(best_x)
-    value = svetlichny_value(rho, settings)
-    return SvetlichnyMaximum(value=value, settings=settings, converged=best_conv,
-                             evaluations=total_evals, restarts=opts.restarts)
+    starts = np.array([np.random.default_rng(child).normal(size=(6, 3))
+                       for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)])
+    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+    v, value, sweeps, converged = _seesaw(m, starts, opts.max_iter, opts.tol)
+    best = int(np.argmax(value))
+    settings = SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v[best]))
+    return SvetlichnyMaximum(value=svetlichny_value(rho, settings), settings=settings,
+                             converged=bool(converged[best]),
+                             evaluations=int(sweeps.sum()), restarts=opts.restarts)
 
 
 def _grid_directions(step: float) -> np.ndarray:

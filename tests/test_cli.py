@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from svl import bound_ms_sum
@@ -157,6 +158,8 @@ class TestErrors:
         (["bound", "--state", '{"family":"GGHZ","n":3.7,"theta":0}'], 3),
         (["bound", "--state", '{"family":"DICKE","n":3,"m":1.9}'], 3),
         (["bound", "--state", '{"family":"GGHZ","n":3,"theta":1' + "0" * 5000 + "}"], 2),
+        (["maximize", "--state", GHZ3, "--tol", "nan"], 2),
+        (["maximize", "--state", GHZ3, "--max-iter", "0"], 2),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)
@@ -164,6 +167,17 @@ class TestErrors:
         assert out == ""
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if line.startswith("svl")]) == 1
+
+    def test_too_many_qubits_is_domain_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the qubit-count check")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out, err = run_cli(capsys, "bound", "--state",
+                                 '{"family":"GGHZ","n":40,"theta":0}')
+        assert code == 3
+        assert out == ""
+        assert err.startswith("svl: ") and len(err.splitlines()) == 1
 
     def test_unreadable_state_file_is_argument_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", "--state-file",

@@ -21,6 +21,7 @@ from svl import (
     to_density,
 )
 from svl.errors import DomainError
+from svl.qstate import MAX_QUBITS
 
 from conftest import oracle_partial_trace, random_density_entries, random_pure
 
@@ -133,6 +134,18 @@ class TestConstructors:
             make_dicke(4, 5)
         with pytest.raises(InvalidArityError):
             make_dicke(4, -1)
+
+    def test_qubit_cap_is_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the qubit-count check")
+
+        for name in ("zeros", "arange", "eye"):
+            monkeypatch.setattr(np, name, refuse)
+        n = MAX_QUBITS + 1
+        for build in (lambda: make_gghz(n, 0.0), lambda: make_ms(n, 0.0),
+                      lambda: make_dicke(n, 1), lambda: maximally_mixed(n)):
+            with pytest.raises(InvalidArityError, match=str(MAX_QUBITS)):
+                build()
 
     @settings(max_examples=40, deadline=None)
     @given(theta=st.floats(-10.0, 10.0), n=st.integers(3, 7))

@@ -26,7 +26,7 @@ from svl import (
     svetlichny_value,
     to_density,
 )
-from svl.svetlichny import X_DIR, Y_DIR, Z_DIR, _tensor_value
+from svl.svetlichny import X_DIR, Y_DIR, Z_DIR, _coefficients, _seesaw
 from svl.correlations import correlation_tensor
 
 from conftest import (
@@ -56,10 +56,9 @@ def optimal_ghz_settings():
 
 
 def random_settings(rng):
-    x = np.empty(12)
-    x[0::2] = rng.uniform(0, math.pi, 6)
-    x[1::2] = rng.uniform(0, 2 * math.pi, 6)
-    return SvetlichnySettings.from_angles(x)
+    return SvetlichnySettings(*(BlochVector(rng.uniform(0, math.pi),
+                                            rng.uniform(0, 2 * math.pi))
+                                for _ in range(6)))
 
 
 class TestObservable:
@@ -120,12 +119,23 @@ class TestValue:
             assert abs(svetlichny_value(rho, s)) <= 4 * SQRT2 + 1e-9
 
     def test_tensor_fast_path_agrees(self, rng):
+        # The see-saw's value of a party's best pair, |g| + |h| on fixed
+        # settings, against the 8x8 operator with that pair put in.
         for _ in range(20):
             rho = DensityMatrix(3, random_density_entries(3, rng))
             m = correlation_tensor(rho).m
             s = random_settings(rng)
-            assert _tensor_value(m, s.angles()) == pytest.approx(
-                svetlichny_value(rho, s), abs=1e-10)
+            vecs = [v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p)]
+            for party in range(3):
+                coef = _coefficients(m, np.array([vecs]), party)[0]
+                assert float(np.sum(coef * vecs[2 * party:2 * party + 2])) == (
+                    pytest.approx(svetlichny_value(rho, s), abs=1e-10))
+                best = list(vecs)
+                best[2 * party:2 * party + 2] = coef / np.linalg.norm(
+                    coef, axis=1, keepdims=True)
+                moved = SvetlichnySettings(*map(BlochVector.from_cartesian, best))
+                assert float(np.linalg.norm(coef, axis=1).sum()) == pytest.approx(
+                    svetlichny_value(rho, moved), abs=1e-10)
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidArityError):
@@ -213,6 +223,29 @@ class TestMaximize:
         best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=2, max_iter=3))
         assert not best.converged
         assert best.value <= 4 * SQRT2 + 1e-9
+
+    def test_restarts_do_not_depend_on_the_batch(self, rng):
+        rho = DensityMatrix(3, random_density_entries(3, rng))
+        m = correlation_tensor(rho).m
+        starts = rng.normal(size=(64, 6, 3))
+        starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+        large = _seesaw(m, starts, 2000, 1e-10)
+        small = _seesaw(m, starts[:8], 2000, 1e-10)
+        for big, part in zip(large, small):
+            np.testing.assert_array_equal(big[:8], part)
+
+    @pytest.mark.parametrize("entries, value", [
+        (np.eye(8) / 8, 0.0),
+        (np.diag(np.eye(8)[0]), 4.0),
+        # |0><0| x I/4: local and pair correlations, a zero triple tensor.
+        (np.diag([0.25] * 4 + [0.0] * 4), 0.0),
+    ])
+    def test_degenerate_states(self, entries, value):
+        rho = DensityMatrix(3, entries.astype(complex))
+        best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
+        assert best.value == pytest.approx(value, abs=1e-12)
+        assert best.converged
+        assert np.all(np.isfinite(best.settings.angles()))
 
 
 class TestGridSearch:
