@@ -70,14 +70,40 @@ class CorrelationMatrix2:
         object.__setattr__(self, "t", t)
 
 
+def _tensor_table() -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and phases (8, 27) of correlation_tensor.
+
+    Tr(rho O) is the sum over rows (a,b,c) and columns (d,e,f) of
+    rho[abc,def] O[def,abc], and each Pauli matrix has one nonzero entry
+    per column.  So for row abc and term ijk one column def survives, at
+    flat index 8*abc + def of rho, with phase
+    sigma_i[d,a] sigma_j[e,b] sigma_k[f,c].
+    """
+    rows = np.abs(PAULIS).argmax(axis=1)                  # d of sigma_p[:, a]
+    phases = np.take_along_axis(PAULIS, rows[:, None], axis=1)[:, 0]
+    a, b, c = (x[:, None] for x in np.unravel_index(np.arange(8), (2, 2, 2)))
+    i, j, k = np.unravel_index(np.arange(27), (3, 3, 3))
+    gather = 8 * np.arange(8)[:, None] + 4 * rows[i, a] + 2 * rows[j, b] + rows[k, c]
+    phase = phases[i, a] * phases[j, b] * phases[k, c]
+    gather.setflags(write=False)
+    phase.setflags(write=False)
+    return gather, phase
+
+
+_GATHER, _PHASE = _tensor_table()
+
+
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
-    """All 27 values Tr(rho sigma_i x sigma_j x sigma_k)."""
+    """All 27 values Tr(rho sigma_i x sigma_j x sigma_k).
+
+    Each value is a sum of 8 phased entries of rho, gathered by
+    _tensor_table and summed in row order.  The phases are exactly +-1 or
+    +-i, so every product is exact and the sum matches the 4-operand
+    einsum over rho and three Pauli matrices bit for bit.
+    """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    r = rho.entries.reshape(2, 2, 2, 2, 2, 2)
-    # Tr(rho O) = sum over rows (a,b,c) and columns (d,e,f) of
-    # rho[abc,def] * O[def,abc].
-    m = np.einsum("abcdef,ida,jeb,kfc->ijk", r, PAULIS, PAULIS, PAULIS)
+    m = (rho.entries.ravel()[_GATHER] * _PHASE).sum(axis=0).reshape(3, 3, 3)
     if np.max(np.abs(m.imag)) > _IMAG_TOL:
         raise DomainError("correlation tensor has a non-real entry")
     return CorrelationTensor3(m.real)

@@ -35,9 +35,13 @@ __all__ = [
 ]
 
 
-# Largest qubit count the family constructors and maximally_mixed accept,
-# checked before any 2**n allocation (a 20-qubit state holds 16 MiB).
+# Largest qubit count the family constructors accept, checked before any
+# 2**n allocation (a 20-qubit state holds 16 MiB).
 MAX_QUBITS = 20
+
+# Largest dense density matrix to_density and maximally_mixed build, in
+# bytes, checked before allocating: 4**n complex entries, so n <= 12.
+MAX_DENSE_BYTES = 256 * 2**20
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -99,7 +103,7 @@ class DensityMatrix:
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(amps)
+    norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCES.input_normalization:
         raise NormalizationError(f"coefficients have norm {norm!r}, expected 1")
     return amps / norm
@@ -169,14 +173,24 @@ def make_dicke(n: int, m: int) -> PureState:
     return PureState(n, amps)
 
 
+def _check_dense(n: int) -> None:
+    size = np.dtype(complex).itemsize * 4**n
+    if size > MAX_DENSE_BYTES:
+        raise InvalidArityError(
+            f"a dense {n}-qubit density matrix takes {size / 2**20:.0f} MiB, "
+            f"more than the {MAX_DENSE_BYTES // 2**20} MiB limit")
+
+
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi|."""
+    _check_dense(psi.num_qubits)
     return DensityMatrix(psi.num_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
-    if not 1 <= n <= MAX_QUBITS:
-        raise InvalidArityError(f"num_qubits must lie in [1, {MAX_QUBITS}], got {n}")
+    if n < 1:
+        raise InvalidArityError(f"num_qubits must be a positive integer, got {n}")
+    _check_dense(n)
     dim = 2**n
     return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
 

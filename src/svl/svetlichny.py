@@ -11,6 +11,7 @@ oracle both exploit through the correlation tensor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,7 +112,9 @@ def observable(v: BlochVector) -> np.ndarray:
 
 
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c)
+    """np.kron(np.kron(a, b), c) of 2x2 matrices, by the same products."""
+    return (a[:, None, None, :, None, None] * b[:, None, None, :, None]
+            * c[:, None, None, :]).reshape(8, 8)
 
 
 def svetlichny_operator(s: SvetlichnySettings) -> np.ndarray:
@@ -152,71 +155,106 @@ _STEPS = 0.5 ** np.arange(8)
 _FLAT = 1e-10
 
 
-def _form(m: np.ndarray) -> np.ndarray:
+# Constant matrices of the Newton step: the 18x18 identity, the 6x6
+# identity shaped to broadcast against the (R, 6, 3, 2) tangent frames,
+# and the three coordinate axes.
+_EYE18 = np.eye(18)
+_EYE6_FRAMES = np.eye(6)[:, None, :, None]
+_AXES = np.eye(3)
+
+# The (p, q, s) index order of the Hessian block of parties p and q,
+# contracted with party s.
+_BLOCKS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+def _operands(m: np.ndarray):
     """The value as a trilinear form of the parties' pairs (a, a'), (b, b'),
     (c, c'), each flattened to 6 entries: form[x i, y j, z k] =
-    _SIGN[x, y, z] m[i, j, k]."""
-    form = _SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]
-    return form.reshape(6, 6, 6)
+    _SIGN[x, y, z] m[i, j, k].
+
+    Returns the form with each party's axis first (for _coefficients) and
+    transposed to each order of _BLOCKS (for _newton_step).  All are views
+    of one array: einsum follows the strides it is given, so contiguous
+    copies can sum in another order and change the last bits.
+    """
+    form = (_SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]).reshape(6, 6, 6)
+    return (tuple(np.moveaxis(form, party, 0) for party in range(3)),
+            tuple(np.transpose(form, order) for order in _BLOCKS))
 
 
-def _coefficients(m: np.ndarray, v: np.ndarray, party: int) -> np.ndarray:
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of length 3, kept as an axis: the
+    products and sums of np.linalg.norm(x, axis=-1, keepdims=True), in its
+    order."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)[..., None]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis, by its products and differences."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
+def _coefficients(forms: tuple[np.ndarray, ...], v: np.ndarray,
+                  party: int) -> np.ndarray:
     """Coefficient vectors of one party's two settings, the others fixed.
 
-    v holds unit vectors (a, a', b, b', c, c') of shape (R, 6, 3).  The
-    value of restart r is the sum over x of v[r, 2*party + x] . out[r, x],
-    so out[r, x] / |out[r, x]| is the best setting x of that party.  Each
-    restart's result is a sum over its own entries, in an order that does
-    not depend on the batch.
+    forms comes from _operands, and v holds unit vectors (a, a', b, b',
+    c, c') of shape (R, 6, 3).  The value of restart r is the sum over x
+    of v[r, 2*party + x] . out[r, x], so out[r, x] / |out[r, x]| is the
+    best setting x of that party.  Each restart's result is a sum over
+    its own entries, in an order that does not depend on the batch.
     """
     first, second = (k for k in range(3) if k != party)
     pairs = v.reshape(len(v), 3, 6)
-    return np.einsum("ijk,rj,rk->ri", np.moveaxis(_form(m), party, 0),
+    return np.einsum("ijk,rj,rk->ri", forms[party],
                      pairs[:, first], pairs[:, second]).reshape(-1, 2, 3)
 
 
-def _sweep(m: np.ndarray, v: np.ndarray):
+def _sweep(forms: tuple[np.ndarray, ...], v: np.ndarray):
     """One see-saw sweep: (a, a'), (b, b') and (c, c') are set in turn to
     their normalized coefficient vectors, which never lowers the value (up
     to the near-zero coefficients that keep their direction).  Returns the
     new directions and their value."""
     v = v.copy()
     for party in range(3):
-        coef = _coefficients(m, v, party)
-        norm = np.linalg.norm(coef, axis=2, keepdims=True)
+        coef = _coefficients(forms, v, party)
+        norm = _norm(coef)
         pair = v[:, 2 * party:2 * party + 2]
         pair[...] = np.where(norm > _ZERO_COEFFICIENT,
                              coef / np.maximum(norm, _ZERO_COEFFICIENT), pair)
     return v, (pair * coef).sum(axis=(1, 2))
 
 
-def _newton_step(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
     """Newton step of the value on the product of the six unit spheres.
 
+    blocks comes from _operands.
     In a basis of the twelve tangent directions the Riemannian Hessian is
     B^T (H - L) B, with H the Hessian of the trilinear value in the 18
     Cartesian components and L each direction's own coefficient v_k . g_k.
     Each curvature is taken by its size, so the step climbs along every
     eigendirection, also away from a maximum; flat ones are left out.
     """
-    form, r = _form(m), len(v)
+    r = len(v)
     pairs = v.reshape(r, 3, 6)
     hess = np.zeros((r, 3, 6, 3, 6))
-    for p, q, s in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        hess[:, p, :, q] = np.einsum("ijk,rk->rij", np.transpose(form, (p, q, s)),
-                                     pairs[:, s])
+    for (p, q, s), block in zip(_BLOCKS, blocks):
+        hess[:, p, :, q] = np.einsum("ijk,rk->rij", block, pairs[:, s])
         hess[:, q, :, p] = hess[:, p, :, q].transpose(0, 2, 1)
     hess, vec = hess.reshape(r, 18, 18), v.reshape(r, 18)
     grad = (hess @ vec[..., None])[..., 0] / 2.0
     own = np.repeat((grad * vec).reshape(r, 6, 3).sum(axis=2), 3, axis=1)
     # Two unit tangents per direction, built from the axis it is closest
     # to being orthogonal to, so the cross product never degenerates.
-    e1 = np.cross(v, np.eye(3)[np.abs(v).argmin(axis=2)])
-    e1 /= np.linalg.norm(e1, axis=2, keepdims=True)
-    frame = np.stack([e1, np.cross(v, e1)], axis=3)
-    basis = (np.eye(6)[:, None, :, None] * frame[:, :, :, None]).reshape(r, 18, 12)
+    e1 = _cross(v, _AXES[np.abs(v).argmin(axis=2)])
+    e1 /= _norm(e1)
+    frame = np.stack([e1, _cross(v, e1)], axis=3)
+    basis = (_EYE6_FRAMES * frame[:, :, :, None]).reshape(r, 18, 12)
     back = basis.transpose(0, 2, 1)
-    curv, eig = np.linalg.eigh(back @ (hess - own[:, None] * np.eye(18)) @ basis)
+    curv, eig = np.linalg.eigh(back @ (hess - own[:, None] * _EYE18) @ basis)
     size = np.abs(curv)
     along = (eig.transpose(0, 2, 1) @ (back @ grad[..., None]))[..., 0]
     along = np.divide(along, size, out=np.zeros_like(along),
@@ -232,10 +270,12 @@ def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
     the value never drops; where the see-saw alone crawls (nearly flat
     maxima) the Newton step converges in a few sweeps.  A restart
     converges, and stops, on the first sweep whose see-saw part moves no
-    component of any direction more than tol.  Returns the directions,
+    component of any direction more than tol; the Newton step is taken
+    only by the restarts that are still moving.  Returns the directions,
     the value after the last step, the number of sweeps and the converged
     flag of every restart.
     """
+    forms, blocks = _operands(m)
     v = v.copy()
     value = np.zeros(len(v))
     sweeps = np.zeros(len(v), dtype=np.int64)
@@ -245,19 +285,38 @@ def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
         if live.size == 0:
             break
         old = v[live]
-        cur, val = _sweep(m, old)
+        cur, val = _sweep(forms, old)
         done = np.abs(cur - old).max(axis=(1, 2)) <= tol
-        trial = cur[:, None] + _STEPS[:, None, None] * _newton_step(m, cur)[:, None]
-        trial = (trial / np.linalg.norm(trial, axis=3, keepdims=True)).reshape(-1, 6, 3)
-        tval = (trial[:, 4:] * _coefficients(m, trial, 2)).sum(axis=(1, 2))
-        best = (tval.reshape(-1, len(_STEPS)).argmax(axis=1)
-                + len(_STEPS) * np.arange(len(live)))
-        up = ~done & (tval[best] > val)
-        v[live] = np.where(up[:, None, None], trial[best], cur)
-        value[live] = np.where(up, tval[best], val)
+        moving = np.flatnonzero(~done)
+        if moving.size:
+            base = cur[moving]
+            trial = base[:, None] + _STEPS[:, None, None] * _newton_step(blocks, base)[:, None]
+            trial = (trial / _norm(trial)).reshape(-1, 6, 3)
+            tval = (trial[:, 4:] * _coefficients(forms, trial, 2)).sum(axis=(1, 2))
+            best = (tval.reshape(-1, len(_STEPS)).argmax(axis=1)
+                    + len(_STEPS) * np.arange(moving.size))
+            up = tval[best] > val[moving]
+            cur[moving[up]] = trial[best[up]]
+            val[moving[up]] = tval[best[up]]
+        v[live] = cur
+        value[live] = val
         sweeps[live] += 1
         converged[live] = done
     return v, value, sweeps, converged
+
+
+@functools.lru_cache(maxsize=8)
+def _starts(seed: int, restarts: int) -> np.ndarray:
+    """Unit-vector starts (restarts, 6, 3) of maximize_svetlichny.
+
+    Restart k draws from a generator seeded by (seed, k), so a longer list
+    extends a shorter one.  Cached per (seed, restarts) and read-only.
+    """
+    starts = np.array([np.random.default_rng(child).normal(size=(6, 3))
+                       for child in np.random.SeedSequence(seed).spawn(restarts)])
+    starts /= _norm(starts)
+    starts.setflags(write=False)
+    return starts
 
 
 @dataclass(frozen=True)
@@ -281,11 +340,12 @@ def maximize_svetlichny(rho: DensityMatrix,
     (alternating maximization; Pal and Vertesi, PRA 82, 022116 (2010)),
     and each sweep ends with a safeguarded Newton step (_seesaw).
     Restart k draws its starting unit vectors from a generator seeded
-    deterministically by (opts.seed, k), and its arithmetic does not
-    depend on the other restarts, so enlarging the restart budget keeps
-    the earlier restarts unchanged.  evaluations counts sweeps over all
-    restarts.  If the best restart used all opts.max_iter sweeps without
-    converging, its value is still returned with converged set to False.
+    deterministically by (opts.seed, k) (_starts), and its arithmetic
+    does not depend on the other restarts, so enlarging the restart
+    budget keeps the earlier restarts unchanged.  evaluations counts
+    sweeps over all restarts.  If the best restart used all opts.max_iter
+    sweeps without converging, its value is still returned with converged
+    set to False.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -294,10 +354,8 @@ def maximize_svetlichny(rho: DensityMatrix,
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
     m = correlation_tensor(rho).m
-    starts = np.array([np.random.default_rng(child).normal(size=(6, 3))
-                       for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)])
-    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-    v, value, sweeps, converged = _seesaw(m, starts, opts.max_iter, opts.tol)
+    v, value, sweeps, converged = _seesaw(m, _starts(opts.seed, opts.restarts),
+                                          opts.max_iter, opts.tol)
     best = int(np.argmax(value))
     settings = SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v[best]))
     return SvetlichnyMaximum(value=svetlichny_value(rho, settings), settings=settings,

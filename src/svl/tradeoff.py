@@ -25,10 +25,12 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Mapping
 
-from .config import DEFAULT_TOLERANCES, OptimizerOptions
+import numpy as np
+
+from .config import OptimizerOptions
 from .correlations import svetlichny_upper_bound
-from .errors import DomainError, InvalidArityError, NormalizationError
-from .qstate import _WCLASS_KEYS, StateSpec, reduce_pure
+from .errors import DomainError, InvalidArityError
+from .qstate import _WCLASS_KEYS, StateSpec, _normalized, reduce_pure
 from .svetlichny import maximize_svetlichny
 
 __all__ = [
@@ -66,10 +68,8 @@ class WClassCoefficients:
     lam: float = 0.0
 
     def __post_init__(self):
-        sq = (self.alpha**2 + self.beta**2 + self.gamma**2
-              + self.delta**2 + self.lam**2)
-        if not abs(sq - 1.0) <= DEFAULT_TOLERANCES.input_normalization:
-            raise NormalizationError(f"squared coefficients sum to {sq!r}, expected 1")
+        # The rule of make_wclass, so every spec that builds passes here.
+        _normalized(np.array([self.alpha, self.beta, self.gamma, self.delta, self.lam]))
 
 
 def _check_variant(variant: str) -> None:

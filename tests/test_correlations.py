@@ -73,6 +73,20 @@ class TestCorrelationTensor:
             got = correlation_tensor(DensityMatrix(3, entries)).m
             np.testing.assert_allclose(got, oracle_tensor(entries), atol=1e-12)
 
+    def test_gather_matches_four_operand_einsum_exactly(self, rng):
+        # Tr(rho sigma_i x sigma_j x sigma_k) as one einsum over rho and
+        # three Pauli matrices, the form the gather table replaced.
+        paulis = np.stack(PAULI)
+        states = [random_density_entries(3, rng) for _ in range(50)]
+        states += [reduce_pure(PureState(4, random_pure(4, rng)), (0, 2, 3)).entries,
+                   reduce_pure(make_gghz(4, 0.6), (0, 1, 2)).entries,
+                   ghz3().entries, maximally_mixed(3).entries]
+        for entries in states:
+            r = entries.reshape(2, 2, 2, 2, 2, 2)
+            einsum = np.einsum("abcdef,ida,jeb,kfc->ijk", r, paulis, paulis, paulis)
+            assert np.array_equal(correlation_tensor(DensityMatrix(3, entries)).m,
+                                  einsum.real)
+
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidArityError):
             correlation_tensor(maximally_mixed(2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from svl import (
     to_density,
 )
 from svl.errors import DomainError
-from svl.qstate import MAX_QUBITS
+from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
 
 from conftest import oracle_partial_trace, random_density_entries, random_pure
 
@@ -143,8 +144,24 @@ class TestConstructors:
             monkeypatch.setattr(np, name, refuse)
         n = MAX_QUBITS + 1
         for build in (lambda: make_gghz(n, 0.0), lambda: make_ms(n, 0.0),
-                      lambda: make_dicke(n, 1), lambda: maximally_mixed(n)):
+                      lambda: make_dicke(n, 1)):
             with pytest.raises(InvalidArityError, match=str(MAX_QUBITS)):
+                build()
+
+    def test_dense_limit_is_checked_before_allocating(self, monkeypatch):
+        # The first qubit count whose 4**n complex entries exceed the limit.
+        n = next(n for n in itertools.count(1) if 16 * 4**n > MAX_DENSE_BYTES)
+        assert n == 13
+        psi = make_gghz(n, 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the dense-size check")
+
+        for name in ("zeros", "eye", "outer"):
+            monkeypatch.setattr(np, name, refuse)
+        for build in (lambda: to_density(psi), lambda: maximally_mixed(n),
+                      lambda: maximally_mixed(MAX_QUBITS)):
+            with pytest.raises(InvalidArityError, match="256 MiB limit"):
                 build()
 
     @settings(max_examples=40, deadline=None)

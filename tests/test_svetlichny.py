@@ -26,7 +26,9 @@ from svl import (
     svetlichny_value,
     to_density,
 )
-from svl.svetlichny import X_DIR, Y_DIR, Z_DIR, _coefficients, _seesaw
+from svl.svetlichny import (
+    X_DIR, Y_DIR, Z_DIR, _coefficients, _cross, _norm, _operands, _seesaw, _starts,
+)
 from svl.correlations import correlation_tensor
 
 from conftest import (
@@ -90,6 +92,17 @@ class TestOperator:
         assert np.trace(oracle @ ghz3().entries).real == pytest.approx(
             4 * SQRT2, abs=1e-12)
 
+    def test_matches_kron_oracle_exactly(self, rng):
+        # The broadcast products of _kron3 are those of np.kron.
+        axes = [X_DIR, Y_DIR, Z_DIR, BlochVector(math.pi / 2, math.pi)]
+        cases = [random_settings(rng) for _ in range(50)]
+        cases += [SvetlichnySettings(*(axes[k % 4] for k in range(i, i + 6)))
+                  for i in range(4)]
+        for s in cases:
+            vecs = [v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p)]
+            assert np.array_equal(svetlichny_operator(s),
+                                  oracle_svetlichny_matrix(*vecs))
+
     def test_hermitian_and_norm_capped(self, rng):
         for _ in range(20):
             s = random_settings(rng)
@@ -123,11 +136,11 @@ class TestValue:
         # settings, against the 8x8 operator with that pair put in.
         for _ in range(20):
             rho = DensityMatrix(3, random_density_entries(3, rng))
-            m = correlation_tensor(rho).m
+            forms, _ = _operands(correlation_tensor(rho).m)
             s = random_settings(rng)
             vecs = [v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p)]
             for party in range(3):
-                coef = _coefficients(m, np.array([vecs]), party)[0]
+                coef = _coefficients(forms, np.array([vecs]), party)[0]
                 assert float(np.sum(coef * vecs[2 * party:2 * party + 2])) == (
                     pytest.approx(svetlichny_value(rho, s), abs=1e-10))
                 best = list(vecs)
@@ -223,6 +236,38 @@ class TestMaximize:
         best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=2, max_iter=3))
         assert not best.converged
         assert best.value <= 4 * SQRT2 + 1e-9
+
+    def test_starts_extend_and_are_read_only(self):
+        for seed in (0, 42, 12345):
+            short, long = _starts(seed, 8), _starts(seed, 64)
+            assert short.tobytes() == long[:8].tobytes()
+            assert _starts(seed, 8) is short
+            assert not short.flags.writeable
+            with pytest.raises(ValueError):
+                short[0, 0, 0] = 1.0
+            np.testing.assert_allclose(np.linalg.norm(long, axis=2), 1.0, atol=1e-15)
+
+    def test_cold_and_warm_starts_agree(self):
+        rho = reduce_pure(make_ms(4, 1.0), (0, 1, 3))
+        opts = OptimizerOptions(restarts=8, seed=7)
+        _starts.cache_clear()
+        cold = maximize_svetlichny(rho, opts)
+        warm = maximize_svetlichny(rho, opts)
+        assert _starts.cache_info().hits == 1
+        assert (cold.value, cold.converged, cold.evaluations) == (
+            warm.value, warm.converged, warm.evaluations)
+        assert cold.settings.angles().tobytes() == warm.settings.angles().tobytes()
+
+    def test_cross_and_norm_match_numpy_exactly(self, rng):
+        # Signed zeros too: an axis-aligned direction keeps exact zeros.
+        v = rng.normal(size=(16, 6, 3))
+        v[0, :3] = np.eye(3)
+        v[1, :3] = -np.eye(3)
+        axes = np.eye(3)[np.abs(v).argmin(axis=2)]
+        for a, b in ((v, axes), (v, v[::-1])):
+            for got, want in ((_cross(a, b), np.cross(a, b)),
+                              (_norm(a), np.linalg.norm(a, axis=-1, keepdims=True))):
+                assert got.tobytes() == want.tobytes()
 
     def test_restarts_do_not_depend_on_the_batch(self, rng):
         rho = DensityMatrix(3, random_density_entries(3, rng))

@@ -198,6 +198,29 @@ class TestWclassSumBound:
         with pytest.raises(NormalizationError):
             WClassCoefficients(1.0, 1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bound", ["theorem3", "eqn3p"])
+    @pytest.mark.parametrize("delta", [0.5000000010, 0.5000000015, 0.5000000019])
+    def test_spec_normalized_within_tolerance_reaches_every_bound(self, bound, delta):
+        # Squared sums off by 1e-9 to 2e-9, norms off by less than 1e-9:
+        # the spec builds, so the bound must accept its coefficients too.
+        params = {"alpha": 0.5, "beta": 0.5, "gamma": 0.5, "delta": delta,
+                  "lambda": 0.0}
+        assert 1e-9 <= sum(v * v for v in params.values()) - 1.0 <= 2e-9
+        report = verify_tradeoff(StateSpec("WCLASS", 4, params), bound, FAST)
+        assert report.satisfied
+        rhs = {"theorem3": bound_wclass_sum, "eqn3p": bound_wclass_sum_squares}[bound]
+        assert report.rhs == pytest.approx(
+            rhs(WClassCoefficients(0.5, 0.5, 0.5, 0.5)), abs=1e-6)
+
+    def test_one_normalization_rule_with_make_wclass(self):
+        # The norm, not the squared sum, must lie within 1e-9 of 1.
+        inside = (0.5, 0.5, 0.5, 0.5000000019, 0.0)
+        outside = (0.5, 0.5, 0.5, 0.5000000021, 0.0)
+        for build in (make_wclass, WClassCoefficients):
+            build(*inside)
+            with pytest.raises(NormalizationError):
+                build(*outside)
+
 
 class TestWclassSumSquaresBounds:
     def test_maximum_point(self):
@@ -212,6 +235,22 @@ class TestWclassSumSquaresBounds:
     def test_balanced_pair(self):
         w = slice_coeffs(1 / SQRT2)
         assert bound_wclass_sum_squares(w) == pytest.approx(96.0, abs=1e-12)
+
+    def test_vacuum_at_the_zero_tolerance(self):
+        # lam = 1e-12 is the largest vacuum amplitude the zero-vacuum
+        # bounds accept; twice that is refused.
+        at_edge = WClassCoefficients(0.0, 0.0, 0.6, 0.8, 1e-12)
+        assert bound_wclass_sum_squares(at_edge) == pytest.approx(
+            bound_wclass_sum_squares(slice_coeffs(0.6)), abs=1e-12)
+        bound_wclass_sum_squares_spectral(at_edge)
+        spec = StateSpec("WCLASS", 4, {"alpha": 0.0, "beta": 0.0, "gamma": 0.6,
+                                       "delta": 0.8, "lambda": 1e-12})
+        assert verify_tradeoff(spec, "eqn3p", FAST).satisfied
+        beyond = WClassCoefficients(0.0, 0.0, 0.6, 0.8, 2e-12)
+        with pytest.raises(DomainError):
+            bound_wclass_sum_squares(beyond)
+        with pytest.raises(DomainError):
+            bound_wclass_sum_squares_spectral(beyond)
 
     def test_rejects_nonzero_vacuum(self):
         w = WClassCoefficients(0.0, 0.0, 0.0, 0.0, 1.0)
