@@ -6,7 +6,6 @@ relations over all three-qubit reductions of four- and n-qubit states,
 with a numerical-maximization harness to check them.
 """
 
-from .config import DEFAULT_TOLERANCES, OptimizerOptions, Tolerances
 from .correlations import (
     CorrelationMatrix2,
     CorrelationTensor3,
@@ -33,6 +32,7 @@ from .qstate import (
 from .svetlichny import (
     BbDecomposition,
     BlochVector,
+    OptimizerOptions,
     SvetlichnyMaximum,
     SvetlichnySettings,
     decompose_bb,

@@ -1,6 +1,7 @@
 """Command-line interface.
 
 Verbs: state, reduce, bound, maximize, tensor, tradeoff, figure.
+Each verb takes only the flags it reads.
 Angles are radians unless --degrees is given.  Exit codes: 0 success,
 2 argument error, 3 domain error (for example unnormalized
 coefficients), 4 unconverged optimization unless --allow-unconverged
@@ -10,15 +11,15 @@ is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from .config import OptimizerOptions
 from .correlations import chsh_max, correlation_tensor, svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError, NormalizationError
 from .qstate import DensityMatrix, StateSpec, _real, reduce_pure
-from .svetlichny import maximize_svetlichny
+from .svetlichny import OptimizerOptions, maximize_svetlichny
 from .tradeoff import BOUND_NAMES, FIGURES, VARIANTS, sweep_figure, verify_tradeoff
 
 __all__ = ["main", "build_parser"]
@@ -46,32 +47,37 @@ def _checked(convert, ok, what: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_checked(int, lambda k: k >= 0, "non-negative"),
-                        default=42, help="seed for all randomized restarts (default 42)")
-    common.add_argument("--restarts", type=int, default=64,
-                        help="optimizer restarts (default 64)")
-    common.add_argument("--max-iter", type=_checked(int, lambda k: k >= 1, "at least 1"),
-                        default=2000, help="see-saw sweep cap per restart (default 2000)")
-    common.add_argument("--tol", default=1e-10,
-                        type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"),
-                        help="largest direction change in the sweep at which a restart "
-                             "converges (default 1e-10)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (default json; figure defaults to csv)")
-    common.add_argument("--output", default=None,
+    # One parent parser per group of flags, given only to the verbs that read them.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="output format (default json; tensor and figure: csv)")
+    output.add_argument("--output", default=None,
                         help="output path (default stdout)")
-    common.add_argument("--variant", choices=VARIANTS, default="verbatim",
-                        help="reading of the asymmetric printed formulas")
-    common.add_argument("--degrees", action="store_true",
-                        help="interpret angle parameters as degrees")
-    common.add_argument("--allow-unconverged", action="store_true",
-                        help="exit 0 even when the optimizer did not converge")
 
-    state_opts = argparse.ArgumentParser(add_help=False)
-    group = state_opts.add_mutually_exclusive_group(required=True)
+    state = argparse.ArgumentParser(add_help=False)
+    group = state.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="state spec as a JSON string")
     group.add_argument("--state-file", help="path to a state spec JSON file")
+    state.add_argument("--degrees", action="store_true",
+                       help="interpret angle parameters as degrees")
+
+    optimizer = argparse.ArgumentParser(add_help=False)
+    optimizer.add_argument("--seed", type=_checked(int, lambda k: k >= 0, "non-negative"),
+                           default=42, help="seed for all randomized restarts (default 42)")
+    optimizer.add_argument("--restarts", type=int, default=64,
+                           help="optimizer restarts (default 64)")
+    optimizer.add_argument("--max-iter", type=_checked(int, lambda k: k >= 1, "at least 1"),
+                           default=2000, help="see-saw sweep cap per restart (default 2000)")
+    optimizer.add_argument("--tol", default=1e-10,
+                           type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"),
+                           help="largest direction change in the sweep at which a restart "
+                                "converges (default 1e-10)")
+    optimizer.add_argument("--allow-unconverged", action="store_true",
+                           help="exit 0 even when the optimizer did not converge")
+
+    reading = argparse.ArgumentParser(add_help=False)
+    reading.add_argument("--variant", choices=VARIANTS, default="verbatim",
+                         help="reading of the asymmetric printed formulas")
 
     p = argparse.ArgumentParser(
         prog="svl",
@@ -80,34 +86,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("state", parents=[common, state_opts],
+    sub.add_parser("state", parents=[output, state],
                    help="emit the state's amplitudes as a reusable CUSTOM spec")
 
-    pr = sub.add_parser("reduce", parents=[common, state_opts],
+    pr = sub.add_parser("reduce", parents=[output, state],
                         help="partial trace onto the kept qubits")
     pr.add_argument("--reduce", required=True, metavar="I,J,...",
                     help="comma-separated kept qubit indices")
 
-    pb = sub.add_parser("bound", parents=[common, state_opts],
+    pb = sub.add_parser("bound", parents=[output, state],
                         help="4*lambda1 bound (3 qubits) or CHSH maximum (2 qubits)")
     pb.add_argument("--reduce", metavar="I,J,...",
                     help="reduce onto these qubits first")
 
-    pm = sub.add_parser("maximize", parents=[common, state_opts],
+    pm = sub.add_parser("maximize", parents=[output, state, optimizer],
                         help="maximize the Svetlichny value over all settings")
     pm.add_argument("--reduce", metavar="I,J,K",
                     help="reduce onto these three qubits first")
 
-    px = sub.add_parser("tensor", parents=[common, state_opts],
+    px = sub.add_parser("tensor", parents=[output, state],
                         help="triple-Pauli correlation tensor of a 3-qubit state")
     px.add_argument("--reduce", metavar="I,J,K",
                     help="reduce onto these three qubits first")
 
-    pt = sub.add_parser("tradeoff", parents=[common, state_opts],
+    pt = sub.add_parser("tradeoff", parents=[output, state, optimizer, reading],
                         help="check one trade-off bound against maximization")
     pt.add_argument("bound", choices=BOUND_NAMES)
 
-    pf = sub.add_parser("figure", parents=[common],
+    pf = sub.add_parser("figure", parents=[output, optimizer, reading],
                         help="tabulate a figure's curves")
     pf.add_argument("figure", choices=FIGURES)
     pf.add_argument("--points", type=int, default=181,
@@ -116,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args) -> StateSpec:
-    if getattr(args, "state_file", None):
+    if args.state_file is not None:
         with open(args.state_file, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -151,9 +157,8 @@ def _opts(args) -> OptimizerOptions:
 def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatrix:
     """The spec's state reduced onto --reduce, on one of sizes qubits if given."""
     spec = _load_spec(args)
-    reduce = getattr(args, "reduce", None)
-    if reduce is not None:
-        keep = _parse_indices(reduce)
+    if args.reduce is not None:
+        keep = _parse_indices(args.reduce)
     else:
         keep = tuple(range(spec.num_qubits))
     try:
@@ -167,14 +172,14 @@ def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatri
     return rho
 
 
-# Each runner returns (json payload, csv columns, csv rows, exit code).
+# Each runner returns (json payload, csv columns, csv rows, converged).
 
 def _run_state(args):
     psi = _load_spec(args).to_pure()
     rows = [(k, float(c.real), float(c.imag)) for k, c in enumerate(psi.amplitudes)]
     payload = {"family": "CUSTOM", "n": psi.num_qubits,
                "amplitudes": [[re, im] for _, re, im in rows]}
-    return payload, ("index", "real", "imag"), rows, 0
+    return payload, ("index", "real", "imag"), rows, True
 
 
 def _run_reduce(args):
@@ -183,7 +188,7 @@ def _run_reduce(args):
     rows = [(i, j, re, im) for i, row in enumerate(entries)
             for j, (re, im) in enumerate(row)]
     return ({"n": rho.num_qubits, "entries": entries},
-            ("row", "col", "real", "imag"), rows, 0)
+            ("row", "col", "real", "imag"), rows, True)
 
 
 def _run_bound(args):
@@ -192,7 +197,7 @@ def _run_bound(args):
         kind, value = "svetlichny_4lambda1", svetlichny_upper_bound(rho)
     else:
         kind, value = "chsh_horodecki", chsh_max(rho)
-    return {"kind": kind, "value": value}, ("kind", "value"), [(kind, value)], 0
+    return {"kind": kind, "value": value}, ("kind", "value"), [(kind, value)], True
 
 
 def _run_maximize(args):
@@ -204,9 +209,8 @@ def _run_maximize(args):
         "evaluations": best.evaluations,
         "settings": best.settings.to_dict(),
     }
-    code = 0 if best.converged or args.allow_unconverged else 4
     rows = [(best.value, best.converged, best.restarts, best.evaluations)]
-    return payload, ("value", "converged", "restarts", "evaluations"), rows, code
+    return payload, ("value", "converged", "restarts", "evaluations"), rows, best.converged
 
 
 def _run_tensor(args):
@@ -215,25 +219,24 @@ def _run_tensor(args):
     rows = [(i + 1, j + 1, k + 1, float(m[i, j, k]))
             for i in range(3) for j in range(3) for k in range(3)]
     payload = [{"i": i, "j": j, "k": k, "value": v} for i, j, k, v in rows]
-    return payload, ("i", "j", "k", "value"), rows, 0
+    return payload, ("i", "j", "k", "value"), rows, True
 
 
 def _run_tradeoff(args):
     report = verify_tradeoff(_load_spec(args), args.bound, _opts(args),
                              variant=args.variant)
-    code = 0 if report.converged or args.allow_unconverged else 4
     rows = [(",".join(map(str, r.keep)), r.value, r.upper_bound, r.converged,
              report.lhs, report.rhs, report.satisfied)
             for r in report.per_reduction]
     cols = ("keep", "value", "upper_bound_4lambda1", "converged",
             "lhs", "rhs", "satisfied")
-    return report.to_dict(), cols, rows, code
+    return report.to_dict(), cols, rows, report.converged
 
 
 def _run_figure(args):
-    cols, rows = sweep_figure(args.figure, args.points, _opts(args),
-                              variant=args.variant)
-    return [dict(zip(cols, row)) for row in rows], cols, rows, 0
+    cols, rows, converged = sweep_figure(args.figure, args.points, _opts(args),
+                                         variant=args.variant)
+    return [dict(zip(cols, row)) for row in rows], cols, rows, converged
 
 
 _RUNNERS = {
@@ -247,15 +250,19 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     fmt = args.format or ("csv" if args.verb in ("tensor", "figure") else "json")
     try:
-        payload, columns, rows, code = _RUNNERS[args.verb](args)
+        payload, columns, rows, converged = _RUNNERS[args.verb](args)
         if fmt == "json":
             text = json.dumps(payload) + "\n"
         else:
@@ -272,7 +279,8 @@ def main(argv=None) -> int:
     except (NormalizationError, DomainError, InvalidArityError, IndexError) as exc:
         print(f"svl: {exc}", file=sys.stderr)
         return 3
-    return code
+    # Only the optimizer verbs, which have --allow-unconverged, report False.
+    return 0 if converged or args.allow_unconverged else 4
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, PSD_CHECK_MAX_DIM
 from .errors import DomainError, InvalidArityError, NormalizationError
 
 __all__ = [
@@ -38,6 +37,18 @@ __all__ = [
 # Largest qubit count the family constructors accept, checked before any
 # 2**n allocation (a 20-qubit state holds 16 MiB).
 MAX_QUBITS = 20
+
+# Entrywise tolerance for norms, Hermiticity and traces.
+STRUCTURAL_TOL = 1e-12
+# How far below zero the smallest eigenvalue of a density matrix may sit.
+PSD_TOL = 1e-10
+# Slack accepted on user-supplied coefficients before they are renormalized.
+INPUT_NORMALIZATION_TOL = 1e-9
+
+# Eigenvalue checks are skipped above this matrix dimension; producers of
+# larger matrices (rank-one projectors, partial traces of valid states)
+# preserve positivity by construction.
+PSD_CHECK_MAX_DIM = 256
 
 # Largest dense density matrix to_density and maximally_mixed build, in
 # bytes, checked before allocating: 4**n complex entries, so n <= 12.
@@ -65,7 +76,7 @@ class PureState:
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
-        if not abs(np.linalg.norm(amps) - 1.0) <= DEFAULT_TOLERANCES.structural:
+        if not abs(np.linalg.norm(amps) - 1.0) <= STRUCTURAL_TOL:
             raise NormalizationError(
                 f"amplitudes have norm {np.linalg.norm(amps)!r}, expected 1"
             )
@@ -89,22 +100,21 @@ class DensityMatrix:
                 f"expected a {dim}x{dim} matrix for {self.num_qubits} qubits, "
                 f"got shape {mat.shape}"
             )
-        tol = DEFAULT_TOLERANCES
         # Written as "not (err <= tol)" so that NaN fails every check.
-        if not np.max(np.abs(mat - mat.conj().T)) <= tol.structural:
+        if not np.max(np.abs(mat - mat.conj().T)) <= STRUCTURAL_TOL:
             raise DomainError("matrix is not Hermitian within tolerance")
         trace = np.trace(mat)
-        if not (abs(trace.real - 1.0) <= tol.structural and abs(trace.imag) <= tol.structural):
+        if not (abs(trace.real - 1.0) <= STRUCTURAL_TOL and abs(trace.imag) <= STRUCTURAL_TOL):
             raise DomainError(f"trace is {trace!r}, expected 1")
         if dim <= PSD_CHECK_MAX_DIM:
-            if not np.linalg.eigvalsh(mat)[0] >= -tol.psd:
+            if not np.linalg.eigvalsh(mat)[0] >= -PSD_TOL:
                 raise DomainError("matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "entries", _freeze(mat))
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(amps))
-    if not abs(norm - 1.0) <= DEFAULT_TOLERANCES.input_normalization:
+    if not abs(norm - 1.0) <= INPUT_NORMALIZATION_TOL:
         raise NormalizationError(f"coefficients have norm {norm!r}, expected 1")
     return amps / norm
 
@@ -357,6 +367,6 @@ class StateSpec:
     def from_json(cls, text: str) -> "StateSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal too long to convert
             raise DomainError(f"malformed state JSON: {exc}") from exc
         return cls.from_dict(data)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OptimizerOptions
 from .correlations import PAULIS, correlation_tensor
 from .errors import DomainError, InvalidArityError
 from .qstate import DensityMatrix
@@ -27,6 +26,7 @@ __all__ = [
     "SvetlichnySettings",
     "BbDecomposition",
     "SvetlichnyMaximum",
+    "OptimizerOptions",
     "observable",
     "svetlichny_operator",
     "svetlichny_value",
@@ -305,6 +305,29 @@ def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
     return v, value, sweeps, converged
 
 
+@dataclass(frozen=True)
+class OptimizerOptions:
+    """Controls for the multi-start see-saw over measurement directions.
+
+    restarts: number of independent uniform-random starting points,
+        1 to MAX_RESTARTS.
+    max_iter: sweep cap per start (one sweep updates all three parties).
+    tol: a start converges on the first sweep in which no direction
+        moves by more than this in any Cartesian component.
+    seed: 64-bit seed from which all restart seeds are derived.
+    """
+
+    restarts: int = 64
+    max_iter: int = 2000
+    tol: float = 1e-10
+    seed: int = 42
+
+
+# Largest restart budget, checked before the starts are drawn: the see-saw
+# peaks near 13 KB per restart (its Newton step), so 10**4 take ~130 MB.
+MAX_RESTARTS = 10**4
+
+
 @functools.lru_cache(maxsize=8)
 def _starts(seed: int, restarts: int) -> np.ndarray:
     """Unit-vector starts (restarts, 6, 3) of maximize_svetlichny.
@@ -349,8 +372,8 @@ def maximize_svetlichny(rho: DensityMatrix,
     """
     if opts is None:
         opts = OptimizerOptions()
-    if opts.restarts < 1:
-        raise DomainError("need at least one restart")
+    if not 1 <= opts.restarts <= MAX_RESTARTS:
+        raise DomainError(f"need 1 to {MAX_RESTARTS} restarts, got {opts.restarts}")
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
     m = correlation_tensor(rho).m
@@ -380,7 +403,7 @@ def _grid_directions(step: float) -> np.ndarray:
 
 
 def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
-                           chunk: int = 512) -> float:
+                           chunk: int = 32) -> float:
     """Grid lower bound on the Svetlichny maximum.
 
     Enumerates every pair of grid directions for the second and third

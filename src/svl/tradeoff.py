@@ -27,11 +27,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import OptimizerOptions
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError
 from .qstate import _WCLASS_KEYS, StateSpec, _normalized, reduce_pure
-from .svetlichny import maximize_svetlichny
+from .svetlichny import OptimizerOptions, maximize_svetlichny
 
 __all__ = [
     "WClassCoefficients",
@@ -326,15 +325,13 @@ BOUND_NAMES = tuple(_BOUND_RULES)
 
 def verify_tradeoff(spec: StateSpec, bound: str,
                     opts: OptimizerOptions | None = None,
-                    mode: str | None = None,
                     variant: str = "verbatim") -> TradeoffReport:
     """Maximize every three-qubit reduction and compare against a bound.
 
-    The aggregation mode (sum versus sum of squares) is fixed per bound;
-    passing a mismatched mode raises DomainError so results for different
-    forms cannot be conflated.  A variant the bound has no reading for
-    raises DomainError too.  Optimizer non-convergence is flagged on the
-    report, not raised.
+    The aggregation mode (sum versus sum of squares) is fixed per bound
+    and reported as the report's mode.  A variant the bound has no
+    reading for raises DomainError.  Optimizer non-convergence is flagged
+    on the report, not raised.
     """
     if bound not in _BOUND_RULES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
@@ -342,8 +339,6 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     if variant not in rule.variants:
         raise DomainError(f"bound {bound!r} has no {variant!r} reading, "
                           f"only {rule.variants}")
-    if mode is not None and mode != rule.mode:
-        raise DomainError(f"bound {bound!r} aggregates by {rule.mode!r}, not {mode!r}")
     if spec.family != rule.family:
         raise DomainError(f"bound {bound!r} applies to {rule.family} states, "
                           f"got {spec.family}")
@@ -391,10 +386,14 @@ FIGURES = ("FIG1", "FIG2", "FIG3", "FIG4")
 # Open-interval endpoints are pulled inward by this much.
 _EDGE_NUDGE = 1e-9
 
+# Largest figure grid, checked before the grid is built: a row and its
+# CSV or JSON text take ~600 bytes, so 10**5 points stay near 60 MB.
+MAX_POINTS = 10**5
+
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n < 2:
-        raise DomainError(f"need at least 2 grid points, got {n}")
+    if not 2 <= n <= MAX_POINTS:
+        raise DomainError(f"need 2 to {MAX_POINTS} grid points, got {n}")
     step = (hi - lo) / (n - 1)
     return [lo + k * step for k in range(n)]
 
@@ -402,7 +401,7 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 def sweep_figure(fig: str, grid_points: int = 181,
                  opts: OptimizerOptions | None = None,
                  variant: str = "verbatim"):
-    """Tabulate one figure's curves; returns (column_names, rows).
+    """Tabulate one figure's curves; returns (column_names, rows, converged).
 
     FIG1: GGHZ sum bound versus its spectral-route counterpart on
         [0, pi/4].
@@ -411,20 +410,22 @@ def sweep_figure(fig: str, grid_points: int = 181,
     FIG3: the two W-class sum-of-squares bounds along the slice
         alpha = beta = 0, delta = sqrt(1 - gamma^2), gamma in [0, 1].
     FIG4: maximized squared Svetlichny values of the reductions along
-        the same slice, with their sum and the closed-form bound.
+        the same slice, with their sum and the closed-form bound;
+        converged is False if any maximization did not converge.  The
+        closed-form figures always report converged.
     """
     _check_variant(variant)
     if fig == "FIG1":
         cols = ("theta", "sum_bound", "spectral_bound")
         rows = [(t, bound_gghz_sum(t), bound_gghz_sum_spectral(t))
                 for t in _linspace(0.0, math.pi / 4.0, grid_points)]
-        return cols, rows
+        return cols, rows, True
     if fig == "FIG2":
         cols = ("theta", "sum_bound", "spectral_bound")
         rows = [(t, bound_ms_sum(t, variant), bound_ms_sum_spectral(t))
                 for t in _linspace(math.pi / 2.0 + _EDGE_NUDGE,
                                    1.5 * math.pi - _EDGE_NUDGE, grid_points)]
-        return cols, rows
+        return cols, rows, True
     if fig == "FIG3":
         cols = ("gamma", "sum_squares_bound", "spectral_bound")
         rows = []
@@ -432,13 +433,13 @@ def sweep_figure(fig: str, grid_points: int = 181,
             w = WClassCoefficients(0.0, 0.0, g, math.sqrt(max(1.0 - g * g, 0.0)))
             rows.append((g, bound_wclass_sum_squares(w),
                          bound_wclass_sum_squares_spectral(w, variant)))
-        return cols, rows
+        return cols, rows, True
     if fig == "FIG4":
         if opts is None:
             opts = OptimizerOptions()
         cols = ("gamma", "sq_value_abc", "sq_value_acd", "sq_sum",
                 "sum_squares_bound")
-        rows = []
+        rows, converged = [], True
         for g in _linspace(0.0, 1.0, grid_points):
             d = math.sqrt(max(1.0 - g * g, 0.0))
             spec = StateSpec("WCLASS", 4, {"alpha": 0.0, "beta": 0.0,
@@ -448,5 +449,6 @@ def sweep_figure(fig: str, grid_points: int = 181,
             by_keep = {r.keep: r.value**2 for r in report.per_reduction}
             rows.append((g, by_keep[(0, 1, 2)], by_keep[(0, 2, 3)],
                          report.lhs, report.rhs))
-        return cols, rows
+            converged = converged and report.converged
+        return cols, rows, converged
     raise DomainError(f"unknown figure {fig!r}, expected one of {FIGURES}")

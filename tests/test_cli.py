@@ -153,13 +153,16 @@ class TestErrors:
                               '"gamma":0,"delta":0,"lambda":1}'], 3),
         (["bound", "--state", '{"family":"WCLASS","alpha":NaN,"beta":0,'
                               '"gamma":0,"delta":0,"lambda":1}'], 3),
-        (["bound", "--state", GHZ3, "--seed", "-1"], 2),
+        (["maximize", "--state", GHZ3, "--seed", "-1"], 2),
         (["bound", "--state", GHZ3, "--output", "/nonexistent/x.json"], 2),
         (["bound", "--state", '{"family":"GGHZ","n":3.7,"theta":0}'], 3),
         (["bound", "--state", '{"family":"DICKE","n":3,"m":1.9}'], 3),
         (["bound", "--state", '{"family":"GGHZ","n":3,"theta":1' + "0" * 5000 + "}"], 2),
         (["maximize", "--state", GHZ3, "--tol", "nan"], 2),
         (["maximize", "--state", GHZ3, "--max-iter", "0"], 2),
+        (["maximize", "--state", GHZ3, "--restarts", "0"], 3),
+        (["maximize", "--state", GHZ3, "--restarts", "10001"], 3),
+        (["figure", "FIG1", "--points", "100001"], 3),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)
@@ -189,6 +192,48 @@ class TestErrors:
         code, _, err = run_cli(capsys, "bound", "--state-file", str(path))
         assert code == 2
         assert err.startswith("svl: ")
+
+
+# One passing argv per verb, and the flags each verb reads; every other
+# (verb, flag) pair is an argument error.
+BASE_ARGV = {
+    "state": ["state", "--state", GHZ3],
+    "reduce": ["reduce", "--state", GHZ3, "--reduce", "0,1"],
+    "bound": ["bound", "--state", GHZ3],
+    "maximize": ["maximize", "--state", GHZ3, "--restarts", "2"],
+    "tensor": ["tensor", "--state", GHZ3],
+    "tradeoff": ["tradeoff", "theorem1", "--state", GGHZ4, "--restarts", "2"],
+    "figure": ["figure", "FIG1", "--points", "3"],
+}
+OPTIMIZER_VERBS = {"maximize", "tradeoff", "figure"}
+READERS = {
+    "--format": set(BASE_ARGV),
+    "--output": set(BASE_ARGV),
+    "--degrees": set(BASE_ARGV) - {"figure"},
+    "--seed": OPTIMIZER_VERBS,
+    "--restarts": OPTIMIZER_VERBS,
+    "--max-iter": OPTIMIZER_VERBS,
+    "--tol": OPTIMIZER_VERBS,
+    "--allow-unconverged": OPTIMIZER_VERBS,
+    "--variant": {"tradeoff", "figure"},
+}
+FLAG_ARGS = {"--format": ["json"], "--degrees": [], "--seed": ["3"],
+             "--restarts": ["2"], "--max-iter": ["500"], "--tol": ["1e-8"],
+             "--allow-unconverged": [], "--variant": ["verbatim"]}
+
+
+class TestFlagReaders:
+    @pytest.mark.parametrize("flag", list(READERS))
+    @pytest.mark.parametrize("verb", list(BASE_ARGV))
+    def test_verb_accepts_exactly_the_flags_it_reads(self, capsys, tmp_path, verb, flag):
+        value = [str(tmp_path / "out")] if flag == "--output" else FLAG_ARGS[flag]
+        code, out, err = run_cli(capsys, *BASE_ARGV[verb], flag, *value)
+        if verb in READERS[flag]:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments" in err
 
 
 class TestTensorVerb:
@@ -290,6 +335,15 @@ class TestFigureVerb:
         data = json.loads(out)
         assert len(data) == 5
         assert set(data[0]) == {"theta", "sum_bound", "spectral_bound"}
+
+    def test_fig4_unconverged_exit_code(self, capsys):
+        argv = ["figure", "FIG4", "--points", "2", "--restarts", "1", "--max-iter", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 4
+        assert len(out.strip().splitlines()) == 3
+        code, out2, _ = run_cli(capsys, *argv, "--allow-unconverged")
+        assert code == 0
+        assert out2 == out
 
     def test_csv_round_trips_doubles(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "FIG1", "--points", "7")

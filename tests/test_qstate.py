@@ -414,3 +414,9 @@ class TestStateSpec:
     def test_rejects_non_finite_values(self, text, error):
         with pytest.raises(error):
             StateSpec.from_json(text)
+
+    def test_integer_literal_too_long_to_convert_is_domain_error(self):
+        # Python refuses int literals over 4300 digits with a bare ValueError.
+        text = '{"family":"GGHZ","n":3,"theta":1' + "0" * 5000 + "}"
+        with pytest.raises(DomainError, match="malformed state JSON"):
+            StateSpec.from_json(text)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from svl import (
     BlochVector,
     DensityMatrix,
+    DomainError,
     InvalidArityError,
     OptimizerOptions,
     PureState,
@@ -27,7 +28,8 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    X_DIR, Y_DIR, Z_DIR, _coefficients, _cross, _norm, _operands, _seesaw, _starts,
+    MAX_RESTARTS, X_DIR, Y_DIR, Z_DIR, _coefficients, _cross, _norm, _operands, _seesaw,
+    _starts,
 )
 from svl.correlations import correlation_tensor
 
@@ -246,6 +248,17 @@ class TestMaximize:
             with pytest.raises(ValueError):
                 short[0, 0, 0] = 1.0
             np.testing.assert_allclose(np.linalg.norm(long, axis=2), 1.0, atol=1e-15)
+
+    def test_restart_cap_is_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the restart-count check")
+
+        rho = ghz3()
+        for name in ("SeedSequence", "default_rng"):
+            monkeypatch.setattr(np.random, name, refuse)
+        for restarts in (0, MAX_RESTARTS + 1):
+            with pytest.raises(DomainError, match=str(MAX_RESTARTS)):
+                maximize_svetlichny(rho, OptimizerOptions(restarts=restarts))
 
     def test_cold_and_warm_starts_agree(self):
         rho = reduce_pure(make_ms(4, 1.0), (0, 1, 3))

@@ -4,7 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import svl.tradeoff as tradeoff
 from svl import (
+    FIGURES,
     DomainError,
     InvalidArityError,
     NormalizationError,
@@ -376,11 +378,6 @@ class TestVerifyTradeoff:
         assert report.rhs == pytest.approx(80 * abs(math.cos(1.4)), abs=1e-12)
         assert report.satisfied
 
-    def test_mode_mismatch_rejected(self):
-        spec = StateSpec("GGHZ", 4, {"theta": 0.3})
-        with pytest.raises(DomainError):
-            verify_tradeoff(spec, "theorem1", FAST, mode="sum_squares")
-
     def test_family_mismatch_rejected(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
         with pytest.raises(DomainError):
@@ -425,7 +422,8 @@ class TestVerifyTradeoff:
 
 class TestSweepFigure:
     def test_fig1_grid_and_ordering(self):
-        cols, rows = sweep_figure("FIG1", 91)
+        cols, rows, converged = sweep_figure("FIG1", 91)
+        assert converged
         assert cols == ("theta", "sum_bound", "spectral_bound")
         assert len(rows) == 91
         assert rows[0][0] == 0.0
@@ -437,7 +435,7 @@ class TestSweepFigure:
             assert sum_bound < spectral - 1e-9
 
     def test_fig2_open_interval(self):
-        cols, rows = sweep_figure("FIG2", 51)
+        cols, rows, _ = sweep_figure("FIG2", 51)
         assert cols == ("theta", "sum_bound", "spectral_bound")
         assert rows[0][0] > math.pi / 2
         assert rows[-1][0] < 1.5 * math.pi
@@ -447,7 +445,7 @@ class TestSweepFigure:
     def test_fig2_variant_reaches_sum_bound_column(self):
         default = sweep_figure("FIG2", 51)
         assert sweep_figure("FIG2", 51, variant="verbatim") == default
-        cols, rows = sweep_figure("FIG2", 51, variant="corrected")
+        cols, rows, _ = sweep_figure("FIG2", 51, variant="corrected")
         assert cols == default[0]
         for (theta, sum_bound, spectral), old in zip(rows, default[1]):
             assert theta == old[0]
@@ -455,13 +453,15 @@ class TestSweepFigure:
             assert spectral == old[2]
 
     def test_fig3_columns(self):
-        cols, rows = sweep_figure("FIG3", 41)
+        cols, rows, converged = sweep_figure("FIG3", 41)
+        assert converged
         assert cols == ("gamma", "sum_squares_bound", "spectral_bound")
         for gamma, f, g in rows:
             assert f <= g + 1e-9
 
     def test_fig4_pairwise_equality_and_bound(self):
-        cols, rows = sweep_figure("FIG4", 3, FAST)
+        cols, rows, converged = sweep_figure("FIG4", 3, FAST)
+        assert converged
         assert cols == ("gamma", "sq_value_abc", "sq_value_acd", "sq_sum",
                         "sum_squares_bound")
         for gamma, s2_abc, s2_acd, total, bound in rows:
@@ -481,6 +481,16 @@ class TestSweepFigure:
             sweep_figure("FIG9", 10)
         with pytest.raises(DomainError):
             sweep_figure("FIG1", 1)
+
+    def test_grid_cap_is_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the grid-size check")
+
+        # _linspace builds its grid from range(n).
+        monkeypatch.setattr(tradeoff, "range", refuse, raising=False)
+        for fig in FIGURES:
+            with pytest.raises(DomainError, match=str(tradeoff.MAX_POINTS)):
+                sweep_figure(fig, tradeoff.MAX_POINTS + 1)
 
 
 class TestGghzPipeline:
