@@ -20,7 +20,7 @@ from .correlations import chsh_max, correlation_tensor, svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError, NormalizationError
 from .qstate import DensityMatrix, StateSpec, _real, reduce_pure
 from .svetlichny import OptimizerOptions, maximize_svetlichny
-from .tradeoff import BOUND_NAMES, FIGURES, VARIANTS, sweep_figure, verify_tradeoff
+from .tradeoff import _FIGURE_RULES, BOUND_NAMES, VARIANTS, sweep_figure, verify_tradeoff
 
 __all__ = ["main", "build_parser"]
 
@@ -46,7 +46,9 @@ def _checked(convert, ok, what: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The svl argument parser, built once per process."""
     # One parent parser per group of flags, given only to the verbs that read them.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv"), default=None,
@@ -113,11 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check one trade-off bound against maximization")
     pt.add_argument("bound", choices=BOUND_NAMES)
 
-    pf = sub.add_parser("figure", parents=[output, optimizer, reading],
-                        help="tabulate a figure's curves")
-    pf.add_argument("figure", choices=FIGURES)
-    pf.add_argument("--points", type=int, default=181,
-                    help="grid points (default 181)")
+    figures = sub.add_parser("figure", help="tabulate a figure's curves").add_subparsers(
+        dest="figure", required=True)
+    for name, rule in _FIGURE_RULES.items():
+        pf = figures.add_parser(name, parents=[output] + [optimizer] * rule.optimized
+                                + [reading] * (len(rule.variants) > 1))
+        pf.add_argument("--points", type=int, default=181, help="grid points (default 181)")
+        if len(rule.variants) == 1:
+            pf.set_defaults(variant=rule.variants[0])
     return p
 
 
@@ -144,8 +149,6 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         idx = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise _ArgumentError(f"bad index list {text!r}") from exc
-    if not idx:
-        raise _ArgumentError("index list must be nonempty")
     return idx
 
 
@@ -161,15 +164,14 @@ def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatri
         keep = _parse_indices(args.reduce)
     else:
         keep = tuple(range(spec.num_qubits))
-    try:
-        rho = reduce_pure(spec.to_pure(), keep)
-    except IndexError as exc:
-        raise _ArgumentError(str(exc)) from exc
-    if sizes is not None and rho.num_qubits not in sizes:
+    if sizes is not None and len(keep) not in sizes:
         raise _ArgumentError(
             f"{args.verb} needs a {'- or '.join(map(str, sizes))}-qubit state, "
-            f"got {rho.num_qubits} qubits; use --reduce")
-    return rho
+            f"got {len(keep)} qubits; use --reduce")
+    try:
+        return reduce_pure(spec.to_pure(), keep)
+    except IndexError as exc:
+        raise _ArgumentError(str(exc)) from exc
 
 
 # Each runner returns (json payload, csv columns, csv rows, converged).
@@ -234,8 +236,8 @@ def _run_tradeoff(args):
 
 
 def _run_figure(args):
-    cols, rows, converged = sweep_figure(args.figure, args.points, _opts(args),
-                                         variant=args.variant)
+    opts = _opts(args) if _FIGURE_RULES[args.figure].optimized else None
+    cols, rows, converged = sweep_figure(args.figure, args.points, opts, args.variant)
     return [dict(zip(cols, row)) for row in rows], cols, rows, converged
 
 
@@ -250,14 +252,9 @@ _RUNNERS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     fmt = args.format or ("csv" if args.verb in ("tensor", "figure") else "json")

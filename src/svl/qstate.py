@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 
-# Largest qubit count the family constructors accept, checked before any
-# 2**n allocation (a 20-qubit state holds 16 MiB).
+# Largest qubit count of any state, checked before 2**n is computed: a
+# 20-qubit state holds 16 MiB, and a huge 2**n cannot even be printed.
 MAX_QUBITS = 20
 
 # Entrywise tolerance for norms, Hermiticity and traces.
@@ -50,9 +50,14 @@ INPUT_NORMALIZATION_TOL = 1e-9
 # preserve positivity by construction.
 PSD_CHECK_MAX_DIM = 256
 
-# Largest dense density matrix to_density and maximally_mixed build, in
-# bytes, checked before allocating: 4**n complex entries, so n <= 12.
+# Largest dense matrix to_density, maximally_mixed and reduce_pure build,
+# in bytes, checked before allocating: 4**n complex entries, so n <= 12.
 MAX_DENSE_BYTES = 256 * 2**20
+
+
+def _check_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise InvalidArityError(f"num_qubits must be 1 to {MAX_QUBITS}, got {n}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,8 +73,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InvalidArityError("num_qubits must be a positive integer")
+        _check_qubits(self.num_qubits)
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise InvalidArityError(
@@ -91,8 +95,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InvalidArityError("num_qubits must be a positive integer")
+        _check_qubits(self.num_qubits)
         dim = 2**self.num_qubits
         mat = np.ascontiguousarray(self.entries, dtype=complex)
         if mat.shape != (dim, dim):
@@ -198,8 +201,7 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
-    if n < 1:
-        raise InvalidArityError(f"num_qubits must be a positive integer, got {n}")
+    _check_qubits(n)
     _check_dense(n)
     dim = 2**n
     return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
@@ -239,6 +241,7 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
+    _check_dense(len(kept))
     dropped = tuple(q for q in range(n) if q not in kept)
     t = psi.amplitudes.reshape((2,) * n)
     a = np.transpose(t, kept + dropped).reshape(2 ** len(kept), -1)

@@ -12,8 +12,8 @@ Both are exposed and neither is asserted as ground truth for the
 W-class bounds.  The maximal-slice sum bound has a "corrected" reading
 too; unlike the printed one it is certified: each of its terms equals
 the 4*lambda1 bound of the reduction it stands for, and the maximized
-values reach those bounds.  The other bounds have the verbatim reading
-only, and verify_tradeoff rejects "corrected" for them.
+values reach those bounds.  Only theorem2, theorem3, FIG2 and FIG3 have
+"corrected"; verify_tradeoff and sweep_figure reject it for the others.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ class WClassCoefficients:
         _normalized(np.array([self.alpha, self.beta, self.gamma, self.delta, self.lam]))
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+def _check_variant(variant: str, readings: tuple[str, ...] = VARIANTS,
+                   of: str = "this bound") -> None:
+    if variant not in readings:
+        raise DomainError(f"{of} has no {variant!r} reading, only {readings}")
 
 
 def bound_gghz_sum(theta: float) -> float:
@@ -297,8 +298,7 @@ def _wcoeffs(spec: StateSpec) -> WClassCoefficients:
 class _BoundRule:
     mode: str
     family: str
-    min_qubits: int
-    max_qubits: int | None
+    qubits: int | None  # None: any n the formula takes
     variants: tuple[str, ...]
     rhs: Callable[[StateSpec, str], float]
 
@@ -306,17 +306,17 @@ class _BoundRule:
 # Registry keyed by the bound identifiers the CLI accepts.  Each rule
 # lists the readings its bound has; only theorem2 and theorem3 have two.
 _BOUND_RULES: dict[str, _BoundRule] = {
-    "theorem1": _BoundRule("sum", "GGHZ", 4, 4, ("verbatim",),
+    "theorem1": _BoundRule("sum", "GGHZ", 4, ("verbatim",),
                            lambda s, v: bound_gghz_sum(s.params["theta"])),
-    "corollary1": _BoundRule("sum", "GGHZ", 4, None, ("verbatim",),
+    "corollary1": _BoundRule("sum", "GGHZ", None, ("verbatim",),
                              lambda s, v: bound_gghz_sum_n(s.num_qubits, s.params["theta"])),
-    "theorem2": _BoundRule("sum", "MS", 4, 4, VARIANTS,
+    "theorem2": _BoundRule("sum", "MS", 4, VARIANTS,
                            lambda s, v: bound_ms_sum(s.params["theta"], v)),
-    "corollary2": _BoundRule("sum", "MS", 4, None, ("verbatim",),
+    "corollary2": _BoundRule("sum", "MS", None, ("verbatim",),
                              lambda s, v: bound_ms_sum_n(s.num_qubits, s.params["theta"])),
-    "theorem3": _BoundRule("sum", "WCLASS", 4, 4, VARIANTS,
+    "theorem3": _BoundRule("sum", "WCLASS", 4, VARIANTS,
                            lambda s, v: bound_wclass_sum(_wcoeffs(s), v)),
-    "eqn3p": _BoundRule("sum_squares", "WCLASS", 4, 4, ("verbatim",),
+    "eqn3p": _BoundRule("sum_squares", "WCLASS", 4, ("verbatim",),
                         lambda s, v: bound_wclass_sum_squares(_wcoeffs(s))),
 }
 
@@ -336,21 +336,14 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     if bound not in _BOUND_RULES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
     rule = _BOUND_RULES[bound]
-    if variant not in rule.variants:
-        raise DomainError(f"bound {bound!r} has no {variant!r} reading, "
-                          f"only {rule.variants}")
+    _check_variant(variant, rule.variants, f"bound {bound!r}")
     if spec.family != rule.family:
         raise DomainError(f"bound {bound!r} applies to {rule.family} states, "
                           f"got {spec.family}")
-    if spec.num_qubits < rule.min_qubits:
-        raise InvalidArityError(f"bound {bound!r} needs at least "
-                                f"{rule.min_qubits} qubits, got {spec.num_qubits}")
-    if rule.max_qubits is not None and spec.num_qubits > rule.max_qubits:
-        raise InvalidArityError(f"bound {bound!r} is a {rule.max_qubits}-qubit "
+    if rule.qubits is not None and spec.num_qubits != rule.qubits:
+        raise InvalidArityError(f"bound {bound!r} is a {rule.qubits}-qubit "
                                 f"statement, got {spec.num_qubits} qubits")
     rhs = rule.rhs(spec, variant)
-    if opts is None:
-        opts = OptimizerOptions()
     psi = spec.to_pure()
     results = []
     for keep in combinations(range(spec.num_qubits), 3):
@@ -381,8 +374,6 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     )
 
 
-FIGURES = ("FIG1", "FIG2", "FIG3", "FIG4")
-
 # Open-interval endpoints are pulled inward by this much.
 _EDGE_NUDGE = 1e-9
 
@@ -396,6 +387,25 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
         raise DomainError(f"need 2 to {MAX_POINTS} grid points, got {n}")
     step = (hi - lo) / (n - 1)
     return [lo + k * step for k in range(n)]
+
+
+@dataclass(frozen=True)
+class _FigureRule:
+    columns: tuple[str, ...]
+    variants: tuple[str, ...]
+    optimized: bool  # runs the optimizer, so takes opts
+
+
+# Registry keyed by the figure names the CLI accepts, like _BOUND_RULES.
+_FIGURE_RULES: dict[str, _FigureRule] = {
+    "FIG1": _FigureRule(("theta", "sum_bound", "spectral_bound"), ("verbatim",), False),
+    "FIG2": _FigureRule(("theta", "sum_bound", "spectral_bound"), VARIANTS, False),
+    "FIG3": _FigureRule(("gamma", "sum_squares_bound", "spectral_bound"), VARIANTS, False),
+    "FIG4": _FigureRule(("gamma", "sq_value_abc", "sq_value_acd", "sq_sum",
+                         "sum_squares_bound"), ("verbatim",), True),
+}
+
+FIGURES = tuple(_FIGURE_RULES)
 
 
 def sweep_figure(fig: str, grid_points: int = 181,
@@ -412,43 +422,35 @@ def sweep_figure(fig: str, grid_points: int = 181,
     FIG4: maximized squared Svetlichny values of the reductions along
         the same slice, with their sum and the closed-form bound;
         converged is False if any maximization did not converge.  The
-        closed-form figures always report converged.
+        closed-form figures always report converged, and take no opts.
     """
-    _check_variant(variant)
+    if fig not in _FIGURE_RULES:
+        raise DomainError(f"unknown figure {fig!r}, expected one of {FIGURES}")
+    rule = _FIGURE_RULES[fig]
+    _check_variant(variant, rule.variants, f"figure {fig!r}")
+    if opts is not None and not rule.optimized:
+        raise DomainError(f"figure {fig!r} runs no optimizer, so it takes no opts")
+    rows, converged = [], True
     if fig == "FIG1":
-        cols = ("theta", "sum_bound", "spectral_bound")
         rows = [(t, bound_gghz_sum(t), bound_gghz_sum_spectral(t))
                 for t in _linspace(0.0, math.pi / 4.0, grid_points)]
-        return cols, rows, True
-    if fig == "FIG2":
-        cols = ("theta", "sum_bound", "spectral_bound")
+    elif fig == "FIG2":
         rows = [(t, bound_ms_sum(t, variant), bound_ms_sum_spectral(t))
                 for t in _linspace(math.pi / 2.0 + _EDGE_NUDGE,
                                    1.5 * math.pi - _EDGE_NUDGE, grid_points)]
-        return cols, rows, True
-    if fig == "FIG3":
-        cols = ("gamma", "sum_squares_bound", "spectral_bound")
-        rows = []
+    elif fig == "FIG3":
         for g in _linspace(0.0, 1.0, grid_points):
             w = WClassCoefficients(0.0, 0.0, g, math.sqrt(max(1.0 - g * g, 0.0)))
             rows.append((g, bound_wclass_sum_squares(w),
                          bound_wclass_sum_squares_spectral(w, variant)))
-        return cols, rows, True
-    if fig == "FIG4":
-        if opts is None:
-            opts = OptimizerOptions()
-        cols = ("gamma", "sq_value_abc", "sq_value_acd", "sq_sum",
-                "sum_squares_bound")
-        rows, converged = [], True
+    else:
         for g in _linspace(0.0, 1.0, grid_points):
             d = math.sqrt(max(1.0 - g * g, 0.0))
-            spec = StateSpec("WCLASS", 4, {"alpha": 0.0, "beta": 0.0,
-                                           "gamma": g, "delta": d,
-                                           "lambda": 0.0})
+            spec = StateSpec("WCLASS", 4, {"alpha": 0.0, "beta": 0.0, "gamma": g,
+                                           "delta": d, "lambda": 0.0})
             report = verify_tradeoff(spec, "eqn3p", opts)
             by_keep = {r.keep: r.value**2 for r in report.per_reduction}
             rows.append((g, by_keep[(0, 1, 2)], by_keep[(0, 2, 3)],
                          report.lhs, report.rhs))
             converged = converged and report.converged
-        return cols, rows, converged
-    raise DomainError(f"unknown figure {fig!r}, expected one of {FIGURES}")
+    return rule.columns, rows, converged

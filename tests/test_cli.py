@@ -163,6 +163,8 @@ class TestErrors:
         (["maximize", "--state", GHZ3, "--restarts", "0"], 3),
         (["maximize", "--state", GHZ3, "--restarts", "10001"], 3),
         (["figure", "FIG1", "--points", "100001"], 3),
+        (["state", "--state", '{"family":"CUSTOM","n":100000,"amplitudes":[[1,0]]}'], 3),
+        (["figure", "FIG4", "--variant", "corrected"], 2),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)
@@ -182,6 +184,17 @@ class TestErrors:
         assert out == ""
         assert err.startswith("svl: ") and len(err.splitlines()) == 1
 
+    def test_reduction_size_is_checked_before_reducing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduced before the reduction-size check")
+
+        monkeypatch.setattr(np, "transpose", refuse)  # reduce_pure's first allocation
+        code, out, err = run_cli(capsys, "bound", "--state",
+                                 '{"family":"GGHZ","n":12,"theta":0.3}')
+        assert code == 2
+        assert out == ""
+        assert "use --reduce" in err
+
     def test_unreadable_state_file_is_argument_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", "--state-file",
                                str(tmp_path / "missing.json"))
@@ -194,8 +207,8 @@ class TestErrors:
         assert err.startswith("svl: ")
 
 
-# One passing argv per verb, and the flags each verb reads; every other
-# (verb, flag) pair is an argument error.
+# One passing argv per verb and per figure, and the flags each reads;
+# every other (verb, flag) and (figure, flag) pair is an argument error.
 BASE_ARGV = {
     "state": ["state", "--state", GHZ3],
     "reduce": ["reduce", "--state", GHZ3, "--reduce", "0,1"],
@@ -203,37 +216,44 @@ BASE_ARGV = {
     "maximize": ["maximize", "--state", GHZ3, "--restarts", "2"],
     "tensor": ["tensor", "--state", GHZ3],
     "tradeoff": ["tradeoff", "theorem1", "--state", GGHZ4, "--restarts", "2"],
-    "figure": ["figure", "FIG1", "--points", "3"],
+    "FIG1": ["figure", "FIG1", "--points", "3"],
+    "FIG2": ["figure", "FIG2", "--points", "3"],
+    "FIG3": ["figure", "FIG3", "--points", "3"],
+    "FIG4": ["figure", "FIG4", "--points", "2", "--restarts", "2"],
 }
-OPTIMIZER_VERBS = {"maximize", "tradeoff", "figure"}
+FIGURE_ROWS = ("FIG1", "FIG2", "FIG3", "FIG4")
+OPTIMIZER_ROWS = {"maximize", "tradeoff", "FIG4"}
 READERS = {
     "--format": set(BASE_ARGV),
     "--output": set(BASE_ARGV),
-    "--degrees": set(BASE_ARGV) - {"figure"},
-    "--seed": OPTIMIZER_VERBS,
-    "--restarts": OPTIMIZER_VERBS,
-    "--max-iter": OPTIMIZER_VERBS,
-    "--tol": OPTIMIZER_VERBS,
-    "--allow-unconverged": OPTIMIZER_VERBS,
-    "--variant": {"tradeoff", "figure"},
+    "--degrees": set(BASE_ARGV) - set(FIGURE_ROWS),
+    "--seed": OPTIMIZER_ROWS,
+    "--restarts": OPTIMIZER_ROWS,
+    "--max-iter": OPTIMIZER_ROWS,
+    "--tol": OPTIMIZER_ROWS,
+    "--allow-unconverged": OPTIMIZER_ROWS,
+    "--variant": {"tradeoff", "FIG2", "FIG3"},
+    "--points": set(FIGURE_ROWS),
 }
 FLAG_ARGS = {"--format": ["json"], "--degrees": [], "--seed": ["3"],
              "--restarts": ["2"], "--max-iter": ["500"], "--tol": ["1e-8"],
-             "--allow-unconverged": [], "--variant": ["verbatim"]}
+             "--allow-unconverged": [], "--variant": ["verbatim"], "--points": ["3"]}
 
 
 class TestFlagReaders:
     @pytest.mark.parametrize("flag", list(READERS))
-    @pytest.mark.parametrize("verb", list(BASE_ARGV))
+    @pytest.mark.parametrize("verb", [v for v in BASE_ARGV if v not in FIGURE_ROWS]
+                             + ["figure"])
     def test_verb_accepts_exactly_the_flags_it_reads(self, capsys, tmp_path, verb, flag):
         value = [str(tmp_path / "out")] if flag == "--output" else FLAG_ARGS[flag]
-        code, out, err = run_cli(capsys, *BASE_ARGV[verb], flag, *value)
-        if verb in READERS[flag]:
-            assert code == 0, err
-        else:
-            assert code == 2
-            assert out == ""
-            assert "unrecognized arguments" in err
+        for row in FIGURE_ROWS if verb == "figure" else (verb,):
+            code, out, err = run_cli(capsys, *BASE_ARGV[row], flag, *value)
+            if row in READERS[flag]:
+                assert code == 0, (row, err)
+            else:
+                assert code == 2, row
+                assert out == ""
+                assert "unrecognized arguments" in err
 
 
 class TestTensorVerb:

@@ -148,6 +148,13 @@ class TestConstructors:
             with pytest.raises(InvalidArityError, match=str(MAX_QUBITS)):
                 build()
 
+    def test_state_classes_cap_qubits_before_sizing(self):
+        for n in (0, MAX_QUBITS + 1, 10**5):
+            with pytest.raises(InvalidArityError, match=f"1 to {MAX_QUBITS}, got {n}"):
+                PureState(n, np.ones(1))
+            with pytest.raises(InvalidArityError, match=f"1 to {MAX_QUBITS}, got {n}"):
+                DensityMatrix(n, np.ones((1, 1)))
+
     def test_dense_limit_is_checked_before_allocating(self, monkeypatch):
         # The first qubit count whose 4**n complex entries exceed the limit.
         n = next(n for n in itertools.count(1) if 16 * 4**n > MAX_DENSE_BYTES)
@@ -157,10 +164,11 @@ class TestConstructors:
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the dense-size check")
 
-        for name in ("zeros", "eye", "outer"):
+        for name in ("zeros", "eye", "outer", "transpose"):
             monkeypatch.setattr(np, name, refuse)
         for build in (lambda: to_density(psi), lambda: maximally_mixed(n),
-                      lambda: maximally_mixed(MAX_QUBITS)):
+                      lambda: maximally_mixed(MAX_QUBITS),
+                      lambda: reduce_pure(psi, range(n))):
             with pytest.raises(InvalidArityError, match="256 MiB limit"):
                 build()
 

@@ -482,6 +482,17 @@ class TestSweepFigure:
         with pytest.raises(DomainError):
             sweep_figure("FIG1", 1)
 
+    @pytest.mark.parametrize("fig, opts, variant", [
+        ("FIG1", None, "corrected"),
+        ("FIG4", None, "corrected"),
+        ("FIG1", FAST, "verbatim"),
+        ("FIG2", FAST, "verbatim"),
+        ("FIG3", FAST, "corrected"),
+    ])
+    def test_rejects_settings_the_figure_does_not_read(self, fig, opts, variant):
+        with pytest.raises(DomainError, match=f"figure '{fig}'"):
+            sweep_figure(fig, 3, opts, variant)
+
     def test_grid_cap_is_checked_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the grid-size check")
