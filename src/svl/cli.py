@@ -20,7 +20,7 @@ from .correlations import chsh_max, correlation_tensor, svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError, NormalizationError
 from .qstate import DensityMatrix, StateSpec, _real, reduce_pure
 from .svetlichny import OptimizerOptions, maximize_svetlichny
-from .tradeoff import _FIGURE_RULES, BOUND_NAMES, VARIANTS, sweep_figure, verify_tradeoff
+from .tradeoff import _BOUND_RULES, _FIGURE_RULES, VARIANTS, sweep_figure, verify_tradeoff
 
 __all__ = ["main", "build_parser"]
 
@@ -111,9 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--reduce", metavar="I,J,K",
                     help="reduce onto these three qubits first")
 
-    pt = sub.add_parser("tradeoff", parents=[output, state, optimizer, reading],
-                        help="check one trade-off bound against maximization")
-    pt.add_argument("bound", choices=BOUND_NAMES)
+    # One sub-parser per bound and per figure; only those with two
+    # readings take --variant.
+    bounds = sub.add_parser(
+        "tradeoff", help="check one trade-off bound against maximization").add_subparsers(
+        dest="bound", required=True)
+    for name, rule in _BOUND_RULES.items():
+        pt = bounds.add_parser(name, parents=[output, state, optimizer]
+                               + [reading] * (len(rule.variants) > 1))
+        if len(rule.variants) == 1:
+            pt.set_defaults(variant=rule.variants[0])
 
     figures = sub.add_parser("figure", help="tabulate a figure's curves").add_subparsers(
         dest="figure", required=True)

@@ -228,7 +228,7 @@ def _sweep(forms: tuple[np.ndarray, ...], v: np.ndarray):
     return v, (pair * coef).sum(axis=(1, 2))
 
 
-def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
+def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray):
     """Newton step of the value on the product of the six unit spheres.
 
     blocks comes from _operands.
@@ -237,6 +237,9 @@ def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
     Cartesian components and L each direction's own coefficient v_k . g_k.
     Each curvature is taken by its size, so the step climbs along every
     eigendirection, also away from a maximum; flat ones are left out.
+    Returns the rows of v whose tangent gradient g_k - (v_k . g_k) v_k is
+    not exactly zero, and their steps: the others are stationary points
+    of the value, and get no step.
     """
     r = len(v)
     pairs = v.reshape(r, 3, 6)
@@ -247,6 +250,12 @@ def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
     hess, vec = hess.reshape(r, 18, 18), v.reshape(r, 18)
     grad = (hess @ vec[..., None])[..., 0] / 2.0
     own = np.repeat((grad * vec).reshape(r, 6, 3).sum(axis=2), 3, axis=1)
+    rows = np.flatnonzero((grad - own * vec).any(axis=1))
+    if rows.size < r:
+        v, hess, grad, own = v[rows], hess[rows], grad[rows], own[rows]
+        r = rows.size
+    if r == 0:
+        return rows, v  # no rows, so no steps
     # Two unit tangents per direction, built from the axis it is closest
     # to being orthogonal to, so the cross product never degenerates.
     e1 = _cross(v, _AXES[np.abs(v).argmin(axis=2)])
@@ -259,7 +268,7 @@ def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
     along = (eig.transpose(0, 2, 1) @ (back @ grad[..., None]))[..., 0]
     along = np.divide(along, size, out=np.zeros_like(along),
                       where=size > _FLAT * size.max(axis=1, keepdims=True))
-    return (basis @ (eig @ along[..., None]))[..., 0].reshape(r, 6, 3)
+    return rows, (basis @ (eig @ along[..., None]))[..., 0].reshape(r, 6, 3)
 
 
 def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
@@ -271,9 +280,9 @@ def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
     maxima) the Newton step converges in a few sweeps.  A restart
     converges, and stops, on the first sweep whose see-saw part moves no
     component of any direction more than tol; the Newton step is taken
-    only by the restarts that are still moving.  Returns the directions,
-    the value after the last step, the number of sweeps and the converged
-    flag of every restart.
+    only by the restarts that are still moving and not at a stationary
+    point.  Returns the directions, the value after the last step, the
+    number of sweeps and the converged flag of every restart.
     """
     forms, blocks = _operands(m)
     v = v.copy()
@@ -289,8 +298,10 @@ def _seesaw(m: np.ndarray, v: np.ndarray, max_iter: int, tol: float):
         done = np.abs(cur - old).max(axis=(1, 2)) <= tol
         moving = np.flatnonzero(~done)
         if moving.size:
-            base = cur[moving]
-            trial = base[:, None] + _STEPS[:, None, None] * _newton_step(blocks, base)[:, None]
+            climbing, step = _newton_step(blocks, cur[moving])
+            moving = moving[climbing]
+        if moving.size:
+            trial = cur[moving][:, None] + _STEPS[:, None, None] * step[:, None]
             trial = (trial / _norm(trial)).reshape(-1, 6, 3)
             tval = (trial[:, 4:] * _coefficients(forms, trial, 2)).sum(axis=(1, 2))
             best = (tval.reshape(-1, len(_STEPS)).argmax(axis=1)
@@ -387,31 +398,40 @@ def maximize_svetlichny(rho: DensityMatrix,
 
 
 def _grid_directions(step: float) -> np.ndarray:
+    """Unit vectors at polar and azimuthal angles on multiples of step.
+
+    The first half holds +z and the directions above the equator (on it,
+    those with azimuth below pi); the second half is its exact negation,
+    so the grid is closed under negation bit for bit.
+    """
     if step <= 0:
         raise DomainError("grid step must be positive")
     thetas = np.arange(0.0, math.pi + 0.5 * step, step)
     phis = np.arange(0.0, 2.0 * math.pi - 0.5 * step, step)
-    dirs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    upper = [np.array([0.0, 0.0, 1.0])]
     for th in thetas:
-        if th < 1e-12 or th > math.pi - 1e-12:
+        if th < 1e-12 or th > 0.5 * math.pi + 1e-12:
             continue
         for ph in phis:
-            dirs.append(np.array([math.sin(th) * math.cos(ph),
-                                  math.sin(th) * math.sin(ph),
-                                  math.cos(th)]))
-    return np.array(dirs)
+            if th > 0.5 * math.pi - 1e-12 and ph > math.pi - 1e-12:
+                continue
+            upper.append(np.array([math.sin(th) * math.cos(ph),
+                                   math.sin(th) * math.sin(ph),
+                                   math.cos(th)]))
+    upper = np.array(upper)
+    return np.concatenate([upper, -upper])
 
 
 def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
                            chunk: int = 32) -> float:
     """Grid lower bound on the Svetlichny maximum.
 
-    Enumerates every pair of grid directions for the second and third
-    parties and solves the first party's directions exactly (for fixed
-    others the expectation is a . u + a' . w, maximized by unit vectors
-    along u and w).  The result therefore dominates a full product grid
-    over all six directions at the same step, while staying feasible:
-    the product grid itself has ~1e13 points at step pi/8.
+    Enumerates pairs of grid directions for the second and third parties
+    and solves the first party's directions exactly (for fixed others the
+    expectation is a . u + a' . w, maximized by unit vectors along u and
+    w).  The result therefore dominates a full product grid over all six
+    directions at the same step, while staying feasible: the product grid
+    itself has ~1e13 points at step pi/8.
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
@@ -420,10 +440,17 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
     n = len(dirs)
     if n > 4000:
         raise DomainError(f"grid step {step!r} yields {n} directions; too fine")
-    # Unordered (b, b') pairs suffice: swapping them negates the difference
-    # vector, which maps onto negating c', and the direction grid is closed
-    # under negation.
+    # Three symmetries keep |u| + |w|, and the grid is closed under
+    # negation, so a quarter of the candidates reach the same maximum.
+    # Swapping b and b' negates the difference vector, which maps onto
+    # negating c', so unordered (b, b') pairs suffice; negating both b and
+    # b', or both c and c', only negates u and w.  So one pair is kept of
+    # each pair and its negation, and c runs over the first half of the
+    # grid (dirs[half + i] = -dirs[i]) while c' runs over all of it.
+    half = n // 2
     iu, ju = np.triu_indices(n)
+    kept = (iu < half) & ((ju < half) | (iu <= ju - half))
+    iu, ju = iu[kept], ju[kept]
     dp = dirs[iu] + dirs[ju]
     dm = dirs[iu] - dirs[ju]
     best = 0.0
@@ -437,10 +464,10 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
         a2 = dirs @ k_minus.transpose(0, 2, 1)
         n1 = np.einsum("pqi,pqi->pq", a1, a1)
         n2 = np.einsum("pqi,pqi->pq", a2, a2)
-        cross = a1 @ a2.transpose(0, 2, 1)
-        # u(c, c') = A1[c] + A2[c'], w(c, c') = A2[c] - A1[c'].
-        u_sq = n1[:, :, None] + 2.0 * cross + n2[:, None, :]
-        w_sq = n2[:, :, None] - 2.0 * np.swapaxes(cross, 1, 2) + n1[:, None, :]
+        # u(c, c') = A1[c] + A2[c'], w(c, c') = A2[c] - A1[c'], c in the
+        # first half.
+        u_sq = n1[:, :half, None] + 2.0 * (a1[:, :half] @ a2.transpose(0, 2, 1)) + n2[:, None, :]
+        w_sq = n2[:, :half, None] - 2.0 * (a2[:, :half] @ a1.transpose(0, 2, 1)) + n1[:, None, :]
         np.maximum(u_sq, 0.0, out=u_sq)
         np.maximum(w_sq, 0.0, out=w_sq)
         np.sqrt(u_sq, out=u_sq)

@@ -85,6 +85,47 @@ def oracle_partial_trace(rho_entries, n, keep):
     return out
 
 
+def oracle_reduce_pure(amps, n, keep):
+    """Reduced density matrix of a pure state, A A^dagger, with A[r, c] the
+    amplitude whose kept qubits read r and dropped qubits read c, placed
+    by bit arithmetic on the basis labels."""
+    keep = list(keep)
+    drop = [q for q in range(n) if q not in keep]
+    labels = np.arange(2**n)
+    row = sum(((labels >> (n - 1 - q)) & 1) << (len(keep) - 1 - pos)
+              for pos, q in enumerate(keep))
+    col = sum(((labels >> (n - 1 - q)) & 1) << (len(drop) - 1 - pos)
+              for pos, q in enumerate(drop))
+    a = np.zeros((2**len(keep), 2**len(drop)), dtype=complex)
+    a[row, col] = amps
+    return a @ a.conj().T
+
+
+def oracle_grid_search(m, dirs, chunk=32):
+    """The grid oracle by the enumeration it had before its symmetry
+    reduction: every unordered (b, b') pair of grid directions, every c
+    and every c', with a and a' solved exactly as |u| + |w|."""
+    n = len(dirs)
+    iu, ju = np.triu_indices(n)
+    dp = dirs[iu] + dirs[ju]
+    dm = dirs[iu] - dirs[ju]
+    best = 0.0
+    for start in range(0, dp.shape[0], chunk):
+        sl = slice(start, start + chunk)
+        k_plus = np.einsum("ijk,pj->pik", m, dp[sl])
+        k_minus = np.einsum("ijk,pj->pik", m, dm[sl])
+        a1 = dirs @ k_plus.transpose(0, 2, 1)
+        a2 = dirs @ k_minus.transpose(0, 2, 1)
+        n1 = np.einsum("pqi,pqi->pq", a1, a1)
+        n2 = np.einsum("pqi,pqi->pq", a2, a2)
+        cross = a1 @ a2.transpose(0, 2, 1)
+        u_sq = n1[:, :, None] + 2.0 * cross + n2[:, None, :]
+        w_sq = n2[:, :, None] - 2.0 * np.swapaxes(cross, 1, 2) + n1[:, None, :]
+        value = np.sqrt(np.maximum(u_sq, 0.0)) + np.sqrt(np.maximum(w_sq, 0.0))
+        best = max(best, float(value.max()))
+    return best
+
+
 def oracle_projected_gradient_max(u, v, iters=4000, lr=0.5):
     """Numerical maximization of u.x + v.y on the unit sphere in R^8."""
     coef = np.concatenate([u, v])

@@ -165,6 +165,7 @@ class TestErrors:
         (["figure", "FIG1", "--points", "100001"], 3),
         (["state", "--state", '{"family":"CUSTOM","n":100000,"amplitudes":[[1,0]]}'], 3),
         (["figure", "FIG4", "--variant", "corrected"], 2),
+        (["tradeoff", "theorem1", "--state", GGHZ4, "--variant", "corrected"], 2),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)
@@ -207,22 +208,33 @@ class TestErrors:
         assert err.startswith("svl: ")
 
 
-# One passing argv per verb and per figure, and the flags each reads;
-# every other (verb, flag) and (figure, flag) pair is an argument error.
+# One passing argv per verb, per trade-off bound and per figure, and the
+# flags each reads; every other (verb, flag), (bound, flag) and
+# (figure, flag) pair is an argument error.
+MS4 = '{"family":"MS","n":4,"theta":2.0}'
+WCLASS = ('{"family":"WCLASS","alpha":0.6,"beta":0,"gamma":0,"delta":0.8,'
+          '"lambda":0}')
 BASE_ARGV = {
     "state": ["state", "--state", GHZ3],
     "reduce": ["reduce", "--state", GHZ3, "--reduce", "0,1"],
     "bound": ["bound", "--state", GHZ3],
     "maximize": ["maximize", "--state", GHZ3, "--restarts", "2"],
     "tensor": ["tensor", "--state", GHZ3],
-    "tradeoff": ["tradeoff", "theorem1", "--state", GGHZ4, "--restarts", "2"],
+    "theorem1": ["tradeoff", "theorem1", "--state", GGHZ4, "--restarts", "2"],
+    "corollary1": ["tradeoff", "corollary1", "--state", GGHZ4, "--restarts", "2"],
+    "theorem2": ["tradeoff", "theorem2", "--state", MS4, "--restarts", "2"],
+    "corollary2": ["tradeoff", "corollary2", "--state", MS4, "--restarts", "2"],
+    "theorem3": ["tradeoff", "theorem3", "--state", WCLASS, "--restarts", "2"],
+    "eqn3p": ["tradeoff", "eqn3p", "--state", WCLASS, "--restarts", "2"],
     "FIG1": ["figure", "FIG1", "--points", "3"],
     "FIG2": ["figure", "FIG2", "--points", "3"],
     "FIG3": ["figure", "FIG3", "--points", "3"],
     "FIG4": ["figure", "FIG4", "--points", "2", "--restarts", "2"],
 }
+BOUND_ROWS = ("theorem1", "corollary1", "theorem2", "corollary2", "theorem3", "eqn3p")
 FIGURE_ROWS = ("FIG1", "FIG2", "FIG3", "FIG4")
-OPTIMIZER_ROWS = {"maximize", "tradeoff", "FIG4"}
+SUB_ROWS = {"tradeoff": BOUND_ROWS, "figure": FIGURE_ROWS}
+OPTIMIZER_ROWS = {"maximize", "FIG4", *BOUND_ROWS}
 READERS = {
     "--format": set(BASE_ARGV),
     "--output": set(BASE_ARGV),
@@ -232,7 +244,7 @@ READERS = {
     "--max-iter": OPTIMIZER_ROWS,
     "--tol": OPTIMIZER_ROWS,
     "--allow-unconverged": OPTIMIZER_ROWS,
-    "--variant": {"tradeoff", "FIG2", "FIG3"},
+    "--variant": {"theorem2", "theorem3", "FIG2", "FIG3"},
     "--points": set(FIGURE_ROWS),
 }
 FLAG_ARGS = {"--format": ["json"], "--degrees": [], "--seed": ["3"],
@@ -242,11 +254,11 @@ FLAG_ARGS = {"--format": ["json"], "--degrees": [], "--seed": ["3"],
 
 class TestFlagReaders:
     @pytest.mark.parametrize("flag", list(READERS))
-    @pytest.mark.parametrize("verb", [v for v in BASE_ARGV if v not in FIGURE_ROWS]
-                             + ["figure"])
+    @pytest.mark.parametrize("verb", ["state", "reduce", "bound", "maximize", "tensor",
+                                      "tradeoff", "figure"])
     def test_verb_accepts_exactly_the_flags_it_reads(self, capsys, tmp_path, verb, flag):
         value = [str(tmp_path / "out")] if flag == "--output" else FLAG_ARGS[flag]
-        for row in FIGURE_ROWS if verb == "figure" else (verb,):
+        for row in SUB_ROWS.get(verb, (verb,)):
             code, out, err = run_cli(capsys, *BASE_ARGV[row], flag, *value)
             if row in READERS[flag]:
                 assert code == 0, (row, err)
@@ -310,20 +322,18 @@ class TestTradeoffVerb:
         assert json.loads(out)["rhs"] == pytest.approx(16 * abs(math.cos(2.0)),
                                                        abs=1e-12)
 
-    @pytest.mark.parametrize("bound, spec", [
-        ("theorem1", GGHZ4),
-        ("corollary1", '{"family":"GGHZ","n":5,"theta":0.4}'),
-        ("corollary2", '{"family":"MS","n":5,"theta":2.0}'),
-        ("eqn3p", '{"family":"WCLASS","alpha":0.6,"beta":0,"gamma":0,'
-                  '"delta":0.8,"lambda":0}'),
-    ])
-    def test_corrected_variant_of_one_reading_bound_is_domain_error(
-            self, capsys, bound, spec):
-        code, out, err = run_cli(capsys, "tradeoff", bound, "--state", spec,
-                                 "--restarts", "2", "--variant", "corrected")
-        assert code == 3
+    @pytest.mark.parametrize("bound", ["theorem1", "corollary1", "corollary2", "eqn3p"])
+    def test_variant_of_one_reading_bound_is_argument_error(self, capsys, bound):
+        # Rejected at parse time, before the state is read, as for figures.
+        code, out, err = run_cli(capsys, "tradeoff", bound, "--state", "{",
+                                 "--variant", "verbatim")
+        assert code == 2
         assert out == ""
-        assert "no 'corrected' reading" in err
+        assert "unrecognized arguments: --variant verbatim" in err
+        code, out, err = run_cli(capsys, *BASE_ARGV[bound], "--variant", "corrected")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --variant corrected" in err
 
     def test_ms_corrected_variant(self, capsys):
         theta = 2 * math.pi / 3

@@ -91,6 +91,17 @@ class TestCorrelationTensor:
         with pytest.raises(InvalidArityError):
             correlation_tensor(maximally_mixed(2))
 
+    def test_second_call_reuses_the_tensor(self, rng):
+        # The maximizer and the 4*lambda1 bound of one reduction share it.
+        rho = DensityMatrix(3, random_density_entries(3, rng))
+        first = correlation_tensor(rho)
+        assert correlation_tensor(rho) is first
+        twin = DensityMatrix(3, rho.entries.copy())
+        again = correlation_tensor(twin)
+        assert again is not first
+        np.testing.assert_array_equal(again.m, first.m)
+        assert svetlichny_upper_bound(twin) == svetlichny_upper_bound(rho)
+
     def test_import_self_check_passes(self):
         from svl.correlations import _flattening_self_check
 

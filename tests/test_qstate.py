@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svl
 from svl import (
     DensityMatrix,
     InvalidArityError,
@@ -24,7 +28,12 @@ from svl import (
 from svl.errors import DomainError
 from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
 
-from conftest import oracle_partial_trace, random_density_entries, random_pure
+from conftest import (
+    oracle_partial_trace,
+    oracle_reduce_pure,
+    random_density_entries,
+    random_pure,
+)
 
 INV2 = 1.0 / math.sqrt(2.0)
 
@@ -319,6 +328,44 @@ class TestPartialTrace:
                 np.testing.assert_allclose(
                     reduce_pure(psi, keep).entries,
                     partial_trace(to_density(psi), keep).entries, atol=1e-12)
+
+    def test_reduce_pure_matches_amplitude_oracle(self, rng):
+        cases = [(n, tuple(sorted(rng.choice(n, size=k, replace=False))))
+                 for n in (3, 5, 8, 11, 14) for k in (1, 2, 3)]
+        cases.append((10, tuple(range(10))))  # every qubit kept: a 1024 x 1024 matrix
+        for n, keep in cases:
+            amps = random_pure(n, rng)
+            np.testing.assert_allclose(reduce_pure(PureState(n, amps), keep).entries,
+                                       oracle_reduce_pure(amps, n, keep),
+                                       rtol=0, atol=1e-14, err_msg=str((n, keep)))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults with getrusage")
+    def test_reduce_pure_reuses_its_pages(self):
+        # Two state-sized temporaries per call made glibc return the pages
+        # of a 16-qubit reduction to the system and fault all ~480 back
+        # in on the next call.  A fresh interpreter, so the heap starts
+        # clean; one BLAS thread, as in the benchmark.
+        code = """
+import resource
+from itertools import combinations, islice
+import numpy as np
+from svl import PureState, reduce_pure
+rng = np.random.default_rng(7)
+amps = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+psi = PureState(16, amps / np.linalg.norm(amps))
+keeps = list(islice(combinations(range(16), 3), 0, 560, 11))[:50]
+reduce_pure(psi, keeps[-1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for keep in keeps:
+    reduce_pure(psi, keep)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(keeps))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(svl.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert float(out) < 8
 
     def test_maximally_mixed(self):
         rho = maximally_mixed(3)

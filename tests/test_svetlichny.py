@@ -28,14 +28,15 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    MAX_RESTARTS, X_DIR, Y_DIR, Z_DIR, _coefficients, _cross, _norm, _operands, _seesaw,
-    _starts,
+    MAX_RESTARTS, X_DIR, Y_DIR, Z_DIR, _coefficients, _cross, _grid_directions, _norm,
+    _operands, _seesaw, _starts,
 )
 from svl.correlations import correlation_tensor
 
 from conftest import (
     bloch,
     obs,
+    oracle_grid_search,
     oracle_projected_gradient_max,
     oracle_svetlichny_matrix,
     random_density_entries,
@@ -282,6 +283,18 @@ class TestMaximize:
                               (_norm(a), np.linalg.norm(a, axis=-1, keepdims=True))):
                 assert got.tobytes() == want.tobytes()
 
+    def test_stationary_restarts_skip_the_newton_step(self, monkeypatch):
+        # Every see-saw sweep on a GGHZ reduction lands on directions whose
+        # tangent gradient is exactly zero, so no Newton frame is built.
+        rho = reduce_pure(make_gghz(4, 0.3), (0, 1, 2))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
+        assert calls == []
+        assert best.converged
+        assert best.value == pytest.approx(svetlichny_upper_bound(rho), abs=1e-9)
+
     def test_restarts_do_not_depend_on_the_batch(self, rng):
         rho = DensityMatrix(3, random_density_entries(3, rng))
         m = correlation_tensor(rho).m
@@ -318,6 +331,24 @@ class TestGridSearch:
         fine = svetlichny_grid_search(rho, math.pi / 4)
         assert fine >= coarse - 1e-12
         assert fine <= svetlichny_upper_bound(rho) + 1e-9
+
+
+    def test_grid_is_closed_under_negation(self):
+        for step in (math.pi / 2, math.pi / 4, math.pi / 8, 1.0):
+            dirs = _grid_directions(step)
+            half = len(dirs) // 2
+            np.testing.assert_array_equal(dirs[half:], -dirs[:half])
+            np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+        # At step pi/8 the poles and 7 latitudes of 16 azimuths.
+        assert len(_grid_directions(math.pi / 8)) == 2 + 7 * 16
+
+    def test_quarter_of_the_pairs_reaches_the_full_enumeration(self, rng):
+        dirs = _grid_directions(math.pi / 4)
+        states = [ghz3(), reduce_pure(make_ms(4, 1.0), (0, 1, 3))]
+        states += [DensityMatrix(3, random_density_entries(3, rng)) for _ in range(4)]
+        for rho in states:
+            full = oracle_grid_search(correlation_tensor(rho).m, dirs)
+            assert abs(svetlichny_grid_search(rho, math.pi / 4) - full) <= 1e-15
 
 
 class TestDecomposeBb:
