@@ -25,17 +25,14 @@ from .qstate import (
     make_ms,
     make_wclass,
     maximally_mixed,
-    partial_trace,
     reduce_pure,
     to_density,
 )
 from .svetlichny import (
-    BbDecomposition,
     BlochVector,
     OptimizerOptions,
     SvetlichnyMaximum,
     SvetlichnySettings,
-    decompose_bb,
     lagrange_max,
     maximize_svetlichny,
     observable,

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvalidArityError", "NormalizationError", "DomainError"]
+
 
 class InvalidArityError(ValueError):
     """Wrong number of qubits or parameters for an operation."""

@@ -1,4 +1,4 @@
-"""Qubit state constructors, density matrices, and partial trace.
+"""Qubit state constructors, density matrices, and pure-state reductions.
 
 Basis convention: qubit 0 is the most-significant bit of the
 computational-basis label, so for four qubits ``|1000>`` means the
@@ -28,7 +28,6 @@ __all__ = [
     "make_wclass",
     "make_dicke",
     "to_density",
-    "partial_trace",
     "reduce_pure",
     "maximally_mixed",
 ]
@@ -103,6 +102,8 @@ class DensityMatrix:
                 f"expected a {dim}x{dim} matrix for {self.num_qubits} qubits, "
                 f"got shape {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise DomainError("matrix has a non-finite entry")
         # Written as "not (err <= tol)" so that NaN fails every check.
         if not np.abs(mat - mat.conj().T).max() <= STRUCTURAL_TOL:
             raise DomainError("matrix is not Hermitian within tolerance")
@@ -218,26 +219,12 @@ def _check_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
     return kept
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits, original order preserved."""
-    n = rho.num_qubits
-    kept = _check_keep(keep, n)
-    t = rho.entries.reshape((2,) * (2 * n))
-    remaining = n
-    # Trace out discarded qubits from the highest index down so that the
-    # axis numbering of lower qubits stays valid.
-    for q in sorted(set(range(n)) - set(kept), reverse=True):
-        t = np.trace(t, axis1=q, axis2=remaining + q)
-        remaining -= 1
-    k = len(kept)
-    return DensityMatrix(k, t.reshape(2**k, 2**k))
-
-
 def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace of |psi><psi| without forming the full projector.
+    """Reduced density matrix of |psi><psi| on the kept qubits.
 
-    Equivalent to partial_trace(to_density(psi), keep) but linear in the
-    state-vector size, which matters for many-qubit sweeps.
+    Kept qubits stay in their original order.  The full projector is
+    never formed: the cost is linear in the state-vector size, which
+    matters for many-qubit sweeps.
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)

@@ -24,7 +24,6 @@ from .qstate import DensityMatrix
 __all__ = [
     "BlochVector",
     "SvetlichnySettings",
-    "BbDecomposition",
     "SvetlichnyMaximum",
     "OptimizerOptions",
     "observable",
@@ -32,7 +31,6 @@ __all__ = [
     "svetlichny_value",
     "maximize_svetlichny",
     "svetlichny_grid_search",
-    "decompose_bb",
     "lagrange_max",
 ]
 
@@ -62,11 +60,6 @@ class BlochVector:
                    math.atan2(v[1], v[0]))
 
 
-X_DIR = BlochVector(math.pi / 2.0, 0.0)
-Y_DIR = BlochVector(math.pi / 2.0, math.pi / 2.0)
-Z_DIR = BlochVector(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class SvetlichnySettings:
     """Six measurement directions, two per party."""
@@ -91,19 +84,6 @@ class SvetlichnySettings:
             for name, v in zip(("a", "a_p", "b", "b_p", "c", "c_p"),
                                (self.a, self.a_p, self.b, self.b_p, self.c, self.c_p))
         }
-
-
-@dataclass(frozen=True)
-class BbDecomposition:
-    """Orthogonal sum/difference frame of a settings pair.
-
-    Satisfies 2*cos(omega)*d = b + b' and 2*sin(omega)*d' = b - b' with
-    d . d' = 0; omega lies in [0, pi/2].
-    """
-
-    d: BlochVector
-    d_p: BlochVector
-    omega: float
 
 
 def observable(v: BlochVector) -> np.ndarray:
@@ -475,54 +455,6 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
         u_sq += w_sq
         best = max(best, float(u_sq.max()))
     return best
-
-
-def _orthogonal_pick(fixed: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the given direction.
-
-    Gram-Schmidt of the x axis against the fixed direction; falls back
-    to the y axis when the fixed direction is collinear with x.
-    """
-    x = np.array([1.0, 0.0, 0.0])
-    resid = x - (x @ fixed) * fixed
-    norm = np.linalg.norm(resid)
-    if norm < 1e-8:
-        y = np.array([0.0, 1.0, 0.0])
-        resid = y - (y @ fixed) * fixed
-        norm = np.linalg.norm(resid)
-    return resid / norm
-
-
-def decompose_bb(b: BlochVector, b_p: BlochVector) -> BbDecomposition:
-    """Split a settings pair into orthogonal sum/difference directions.
-
-    Returns (d, d', omega) with b + b' = 2*cos(omega)*d and
-    b - b' = 2*sin(omega)*d'.  When b = b' (or b = -b') one direction is
-    unconstrained and is chosen deterministically, orthogonal to the
-    fixed one.
-    """
-    bv, bpv = b.cartesian, b_p.cartesian
-    s = bv + bpv
-    diff = bv - bpv
-    ns = float(np.linalg.norm(s))
-    nd = float(np.linalg.norm(diff))
-    omega = math.atan2(nd / 2.0, ns / 2.0)
-    if ns > 1e-12:
-        d = s / ns
-        if nd > 1e-12:
-            # Exactly orthogonal in exact arithmetic; for nearly equal
-            # pairs the normalization amplifies rounding, so project the
-            # residual out explicitly.
-            d_p = diff / nd
-            d_p = d_p - (d_p @ d) * d
-            d_p = d_p / np.linalg.norm(d_p)
-        else:
-            d_p = _orthogonal_pick(d)
-    else:
-        d_p = diff / nd
-        d = _orthogonal_pick(d_p)
-    return BbDecomposition(BlochVector.from_cartesian(d),
-                           BlochVector.from_cartesian(d_p), omega)
 
 
 def lagrange_max(u, v) -> float:

@@ -20,12 +20,6 @@ def kron3(a, b, c):
     return np.kron(np.kron(a, b), c)
 
 
-def bloch(theta, phi=0.0):
-    return np.array([math.sin(theta) * math.cos(phi),
-                     math.sin(theta) * math.sin(phi),
-                     math.cos(theta)])
-
-
 def obs(v):
     return v[0] * SX + v[1] * SY + v[2] * SZ
 
@@ -63,25 +57,6 @@ def oracle_flatten(m):
         for j in range(3):
             for k in range(3):
                 out[j, 3 * i + k] = m[i, j, k]
-    return out
-
-
-def oracle_partial_trace(rho_entries, n, keep):
-    """Sum over computational-basis labels of the discarded qubits."""
-    keep = list(keep)
-    drop = [q for q in range(n) if q not in keep]
-    k = len(keep)
-    out = np.zeros((2**k, 2**k), dtype=complex)
-    for row in range(2**n):
-        for col in range(2**n):
-            if any((row >> (n - 1 - q)) & 1 != (col >> (n - 1 - q)) & 1
-                   for q in drop):
-                continue
-            r = sum(((row >> (n - 1 - q)) & 1) << (k - 1 - pos)
-                    for pos, q in enumerate(keep))
-            c = sum(((col >> (n - 1 - q)) & 1) << (k - 1 - pos)
-                    for pos, q in enumerate(keep))
-            out[r, c] += rho_entries[row, col]
     return out
 
 

@@ -24,7 +24,6 @@ from svl import (
 
 from conftest import (
     PAULI,
-    bloch,
     kron3,
     obs,
     oracle_flatten,

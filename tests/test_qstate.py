@@ -21,7 +21,6 @@ from svl import (
     make_ms,
     make_wclass,
     maximally_mixed,
-    partial_trace,
     reduce_pure,
     to_density,
 )
@@ -29,9 +28,7 @@ from svl.errors import DomainError
 from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
 
 from conftest import (
-    oracle_partial_trace,
     oracle_reduce_pure,
-    random_density_entries,
     random_pure,
 )
 
@@ -249,7 +246,7 @@ class TestDensity:
 class TestPartialTrace:
     def test_gghz_reduction_is_diagonal(self):
         theta = 0.7
-        rho = partial_trace(to_density(make_gghz(4, theta)), (0, 1, 2))
+        rho = reduce_pure(make_gghz(4, theta), (0, 1, 2))
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = math.cos(theta) ** 2
         expected[7, 7] = math.sin(theta) ** 2
@@ -257,61 +254,39 @@ class TestPartialTrace:
 
     def test_ms_reduction_keeps_coherence(self):
         theta = 0.9
-        rho = partial_trace(to_density(make_ms(4, theta)), (0, 1, 2))
+        rho = reduce_pure(make_ms(4, theta), (0, 1, 2))
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = expected[7, 7] = 0.5
         expected[0, 7] = expected[7, 0] = 0.5 * math.cos(theta)
         np.testing.assert_allclose(rho.entries, expected, atol=1e-14)
 
     def test_product_state_reduction(self):
-        rho = partial_trace(to_density(make_gghz(4, 0.0)), (1, 3))
+        rho = reduce_pure(make_gghz(4, 0.0), (1, 3))
         np.testing.assert_allclose(rho.entries, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
     def test_keep_validation(self):
-        rho = to_density(make_gghz(4, 0.2))
+        psi = make_gghz(4, 0.2)
         with pytest.raises(IndexError):
-            partial_trace(rho, ())
+            reduce_pure(psi, ())
         with pytest.raises(IndexError):
-            partial_trace(rho, (0, 4))
+            reduce_pure(psi, (0, 4))
         with pytest.raises(IndexError):
-            partial_trace(rho, (2, 1))
+            reduce_pure(psi, (2, 1))
         with pytest.raises(IndexError):
-            partial_trace(rho, (1, 1, 2))
-
-    def test_matches_basis_sum_oracle(self, rng):
-        for keep in [(0,), (2,), (0, 2), (1, 3), (0, 1, 2), (0, 2, 3)]:
-            entries = random_density_entries(4, rng)
-            rho = DensityMatrix(4, entries)
-            got = partial_trace(rho, keep).entries
-            want = oracle_partial_trace(entries, 4, keep)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_preserves_trace_and_hermiticity(self, rng):
-        for _ in range(20):
-            rho = DensityMatrix(4, random_density_entries(4, rng))
-            red = partial_trace(rho, (0, 2, 3)).entries
-            assert abs(np.trace(red) - 1.0) < 1e-12
-            assert np.max(np.abs(red - red.conj().T)) < 1e-12
-
-    def test_two_step_equals_one_step(self, rng):
-        for _ in range(10):
-            rho = DensityMatrix(4, random_density_entries(4, rng))
-            two = partial_trace(partial_trace(rho, (0, 1, 2)), (0, 1)).entries
-            one = partial_trace(rho, (0, 1)).entries
-            np.testing.assert_allclose(two, one, atol=1e-12)
+            reduce_pure(psi, (1, 1, 2))
 
     def test_gghz_reductions_all_equal(self, rng):
         for theta in rng.uniform(0, 2 * math.pi, 20):
-            rho = to_density(make_gghz(4, theta))
-            mats = [partial_trace(rho, keep).entries
+            psi = make_gghz(4, theta)
+            mats = [reduce_pure(psi, keep).entries
                     for keep in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
             for m in mats[1:]:
                 np.testing.assert_allclose(m, mats[0], atol=1e-12)
 
     def test_ms_last_three_reductions_equal_and_match_display(self, rng):
         for theta in rng.uniform(0, 2 * math.pi, 20):
-            rho = to_density(make_ms(4, theta))
-            mats = [partial_trace(rho, keep).entries
+            psi = make_ms(4, theta)
+            mats = [reduce_pure(psi, keep).entries
                     for keep in [(0, 1, 3), (0, 2, 3), (1, 2, 3)]]
             expected = np.zeros((8, 8), dtype=complex)
             expected[0, 0] = 0.5
@@ -320,14 +295,6 @@ class TestPartialTrace:
             expected[7, 7] = 0.5 * math.sin(theta) ** 2
             for m in mats:
                 np.testing.assert_allclose(m, expected, atol=1e-12)
-
-    def test_reduce_pure_matches_partial_trace(self, rng):
-        for _ in range(10):
-            psi = PureState(4, random_pure(4, rng))
-            for keep in [(0, 1, 2), (1, 3), (2,)]:
-                np.testing.assert_allclose(
-                    reduce_pure(psi, keep).entries,
-                    partial_trace(to_density(psi), keep).entries, atol=1e-12)
 
     def test_reduce_pure_matches_amplitude_oracle(self, rng):
         cases = [(n, tuple(sorted(rng.choice(n, size=k, replace=False))))

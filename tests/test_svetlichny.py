@@ -13,7 +13,6 @@ from svl import (
     OptimizerOptions,
     PureState,
     SvetlichnySettings,
-    decompose_bb,
     lagrange_max,
     make_gghz,
     make_ms,
@@ -28,13 +27,12 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    MAX_RESTARTS, X_DIR, Y_DIR, Z_DIR, _coefficients, _cross, _grid_directions, _norm,
+    MAX_RESTARTS, _coefficients, _cross, _grid_directions, _norm,
     _operands, _seesaw, _starts,
 )
 from svl.correlations import correlation_tensor
 
 from conftest import (
-    bloch,
     obs,
     oracle_grid_search,
     oracle_projected_gradient_max,
@@ -44,6 +42,9 @@ from conftest import (
 
 SQRT2 = math.sqrt(2.0)
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+X_DIR = BlochVector(math.pi / 2.0, 0.0)
+Y_DIR = BlochVector(math.pi / 2.0, math.pi / 2.0)
+Z_DIR = BlochVector(0.0, 0.0)
 
 
 def ghz3():
@@ -156,26 +157,6 @@ class TestValue:
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidArityError):
             svetlichny_value(maximally_mixed(2), optimal_ghz_settings())
-
-
-class TestOmegaForm:
-    def test_equivalent_to_direct_form(self, rng):
-        for _ in range(30):
-            rho = DensityMatrix(3, random_density_entries(3, rng))
-            s = random_settings(rng)
-            m = correlation_tensor(rho).m
-
-            def triple(u, v, w):
-                return float(np.einsum("ijk,i,j,k->", m, u.cartesian,
-                                       v.cartesian, w.cartesian))
-
-            dec = decompose_bb(s.b, s.b_p)
-            omega_form = 2.0 * (
-                math.cos(dec.omega) * triple(s.a, dec.d, s.c)
-                + math.sin(dec.omega) * triple(s.a, dec.d_p, s.c_p)
-                + math.sin(dec.omega) * triple(s.a_p, dec.d_p, s.c)
-                - math.cos(dec.omega) * triple(s.a_p, dec.d, s.c_p))
-            assert omega_form == pytest.approx(svetlichny_value(rho, s), abs=1e-10)
 
 
 class TestMaximize:
@@ -349,43 +330,6 @@ class TestGridSearch:
         for rho in states:
             full = oracle_grid_search(correlation_tensor(rho).m, dirs)
             assert abs(svetlichny_grid_search(rho, math.pi / 4) - full) <= 1e-15
-
-
-class TestDecomposeBb:
-    def test_diagonal_pair(self):
-        dec = decompose_bb(X_DIR, Y_DIR)
-        assert dec.omega == pytest.approx(math.pi / 4, abs=1e-12)
-        np.testing.assert_allclose(dec.d.cartesian,
-                                   np.array([1, 1, 0]) / SQRT2, atol=1e-12)
-        np.testing.assert_allclose(dec.d_p.cartesian,
-                                   np.array([1, -1, 0]) / SQRT2, atol=1e-12)
-
-    def test_equal_pair(self):
-        dec = decompose_bb(Z_DIR, Z_DIR)
-        assert dec.omega == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(dec.d.cartesian, [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(dec.d_p.cartesian, [1, 0, 0], atol=1e-12)
-
-    def test_opposite_pair(self):
-        dec = decompose_bb(Z_DIR, BlochVector(math.pi, 0.0))
-        assert dec.omega == pytest.approx(math.pi / 2, abs=1e-12)
-        np.testing.assert_allclose(dec.d_p.cartesian, [0, 0, 1], atol=1e-10)
-        np.testing.assert_allclose(dec.d.cartesian, [1, 0, 0], atol=1e-10)
-
-    @settings(max_examples=100, deadline=None)
-    @given(t1=angles, p1=angles, t2=angles, p2=angles)
-    def test_reconstruction_and_orthogonality(self, t1, p1, t2, p2):
-        b = BlochVector(t1, p1)
-        b_p = BlochVector(t2, p2)
-        dec = decompose_bb(b, b_p)
-        assert 0.0 <= dec.omega <= math.pi / 2 + 1e-12
-        assert abs(dec.d.cartesian @ dec.d_p.cartesian) < 1e-10
-        np.testing.assert_allclose(
-            2 * math.cos(dec.omega) * dec.d.cartesian,
-            b.cartesian + b_p.cartesian, atol=1e-10)
-        np.testing.assert_allclose(
-            2 * math.sin(dec.omega) * dec.d_p.cartesian,
-            b.cartesian - b_p.cartesian, atol=1e-10)
 
 
 class TestTriangleInequality:

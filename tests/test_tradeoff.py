@@ -22,6 +22,7 @@ from svl import (
     bound_wclass_sum,
     bound_wclass_sum_squares,
     bound_wclass_sum_squares_spectral,
+    correlation_tensor,
     make_wclass,
     maximize_svetlichny,
     reduce_pure,
@@ -512,3 +513,21 @@ class TestGghzPipeline:
             assert report.satisfied
             for r in report.per_reduction:
                 assert r.value <= 4.0 + 1e-6
+
+    def test_corollary1_is_attained(self):
+        # Every reduction of GGHZ(n) is cos^2 t |000><000| + sin^2 t |111><111|,
+        # whose only triple correlation is T[z,z,z] = cos 2t: its 4*lambda1
+        # is 4|cos 2t|, the maximum reaches it, and the sum is the bound.
+        for n in range(4, 9):
+            for theta in np.linspace(0.0, math.pi, 13):
+                spec = StateSpec("GGHZ", n, {"theta": float(theta)})
+                psi = spec.to_pure()
+                expected = np.zeros((3, 3, 3))
+                expected[2, 2, 2] = math.cos(2 * theta)
+                for keep in combinations(range(n), 3):
+                    m = correlation_tensor(reduce_pure(psi, keep)).m
+                    np.testing.assert_allclose(m, expected, rtol=0, atol=1e-15)
+                report = verify_tradeoff(spec, "corollary1", FAST)
+                for r in report.per_reduction:
+                    assert abs(r.value - r.upper_bound) <= 1e-9, (n, theta, r.keep)
+                assert abs(report.lhs - bound_gghz_sum_n(n, theta)) <= 1e-9, (n, theta)
