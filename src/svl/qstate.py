@@ -8,9 +8,11 @@ construction and every operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Mapping
@@ -209,7 +211,14 @@ def maximally_mixed(n: int) -> DensityMatrix:
 
 
 def _check_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    kept = tuple(int(q) for q in keep)
+    given = tuple(keep)
+    try:
+        # Python and numpy integers; floats and numpy bools raise TypeError.
+        kept = tuple(map(operator.index, given))
+    except TypeError:
+        kept = None
+    if kept is None or any(isinstance(q, bool) for q in given):
+        raise IndexError(f"kept qubit indices must be integers, got {given}")
     if not kept:
         raise IndexError("keep must be nonempty")
     if any(q < 0 or q >= n for q in kept):
@@ -224,11 +233,25 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
 
     Kept qubits stay in their original order.  The full projector is
     never formed: the cost is linear in the state-vector size, which
-    matters for many-qubit sweeps.
+    matters for many-qubit sweeps.  Keeps related by a permutation of
+    qubits that leaves psi unchanged give the same matrix, so from the
+    second reduction of a state on, each such class of keeps of at most
+    three qubits is reduced once; only the last state's classes are kept
+    (_classes).
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
     _check_dense(len(kept))
+    if len(kept) > _SHARED_MAX_KEPT:
+        rho = _reduce(psi, kept)
+    else:
+        rho = _shared_reduction(psi, kept)
+    return DensityMatrix(len(kept), rho)
+
+
+def _reduce(psi: PureState, kept: tuple[int, ...]) -> np.ndarray:
+    """The entries of the reduced density matrix of psi on kept."""
+    n = psi.num_qubits
     dim = 2 ** len(kept)
     # rho sums over the dropped qubits in any order.  numpy copies a
     # transposed array one stretch of its last axes at a time, so each run
@@ -257,7 +280,82 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     # Im rho = S R^T - R S^T, antisymmetric by construction.
     cross = imag @ real.T
     rho.imag = cross - cross.T
-    return DensityMatrix(len(kept), rho)
+    return rho
+
+
+# Keeps of up to this many qubits (8x8 matrices) share their reductions;
+# a larger one would keep a matrix of up to 256 MiB past its caller.
+_SHARED_MAX_KEPT = 3
+
+
+class _Classes:
+    """What reduce_pure holds of the last state it reduced."""
+
+    __slots__ = ("first", "start", "reduced")
+
+    def __init__(self):
+        self.first = None    # (keep, frozen matrix) of the state's first reduction
+        # start[q] is the first qubit of q's run, found at the second
+        # reduction; () when every run is a single qubit.
+        self.start = None
+        self.reduced = {}    # class representative -> frozen matrix
+
+
+@functools.lru_cache(maxsize=1)
+def _classes(psi: PureState) -> _Classes:
+    return _Classes()
+
+
+def _run_starts(psi: PureState) -> tuple[int, ...]:
+    """start[q], the first qubit of q's run, or () if every run is one qubit.
+
+    A run is a maximal stretch of consecutive qubits whose adjacent
+    transpositions all leave the amplitudes bit for bit unchanged, so psi
+    is invariant under every permutation of the run.  Transposing q - 1
+    and q swaps the |..01..> and |..10..> quarters of the state vector.
+    """
+    n = psi.num_qubits
+    bits = psi.amplitudes.view(np.uint64)
+    start = [0]
+    for q in range(1, n):
+        quarters = bits.reshape(2 ** (q - 1), 2, 2, -1)
+        a, b = quarters[:, 0, 1], quarters[:, 1, 0]
+        # A generic state differs in the first entries already, so it
+        # costs O(n) to test rather than O(n 2^n).
+        same = np.array_equal(a[0, :8], b[0, :8]) and np.array_equal(a, b)
+        start.append(start[-1] if same else q)
+    return tuple(start) if start != list(range(n)) else ()
+
+
+def _representative(kept: tuple[int, ...], start: tuple[int, ...]) -> tuple[int, ...]:
+    """The keep of kept's class whose qubits open their runs, in order."""
+    rep: list[int] = []
+    for q in kept:
+        rep.append(rep[-1] + 1 if rep and rep[-1] >= start[q] else start[q])
+    return tuple(rep)
+
+
+def _shared_reduction(psi: PureState, kept: tuple[int, ...]) -> np.ndarray:
+    """_reduce(psi, kept), computed once per class of the last state."""
+    classes = _classes(psi)
+    if classes.first is None:
+        # A state reduced once pays for no symmetry test.
+        rho = _freeze(_reduce(psi, kept))
+        classes.first = kept, rho
+        return rho
+    if classes.start is None:
+        start = _run_starts(psi)
+        if start:
+            first, rho = classes.first
+            classes.reduced.setdefault(_representative(first, start), rho)
+        classes.start = start
+    if not classes.start:
+        return _reduce(psi, kept)
+    rep = _representative(kept, classes.start)
+    rho = classes.reduced.get(rep)
+    if rho is None:
+        rho = classes.reduced.setdefault(rep, _freeze(_reduce(psi, rep)))
+    return rho
 
 
 _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")

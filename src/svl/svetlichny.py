@@ -415,6 +415,8 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
+    if not chunk >= 1:
+        raise DomainError(f"chunk must be at least 1, got {chunk!r}")
     m = correlation_tensor(rho).m
     dirs = _grid_directions(step)
     n = len(dirs)

@@ -24,6 +24,7 @@ from svl import (
     reduce_pure,
     to_density,
 )
+from svl import qstate
 from svl.errors import DomainError
 from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
 
@@ -274,6 +275,12 @@ class TestPartialTrace:
             reduce_pure(psi, (2, 1))
         with pytest.raises(IndexError):
             reduce_pure(psi, (1, 1, 2))
+        for keep in [(0, 1.9, 2), (0, 1.0, 2), (True, 2), (0, np.bool_(True)), ("0", "1")]:
+            with pytest.raises(IndexError):
+                reduce_pure(psi, keep)
+        for keep in [np.arange(3), (np.int64(0), np.int32(1), np.uint8(2))]:
+            np.testing.assert_array_equal(reduce_pure(psi, keep).entries,
+                                          reduce_pure(psi, (0, 1, 2)).entries)
 
     def test_gghz_reductions_all_equal(self, rng):
         for theta in rng.uniform(0, 2 * math.pi, 20):
@@ -305,6 +312,73 @@ class TestPartialTrace:
             np.testing.assert_allclose(reduce_pure(PureState(n, amps), keep).entries,
                                        oracle_reduce_pure(amps, n, keep),
                                        rtol=0, atol=1e-14, err_msg=str((n, keep)))
+
+    @pytest.mark.parametrize("make", [make_gghz, make_ms, lambda n, t: make_dicke(n, n // 2)],
+                             ids=["GGHZ", "MS", "DICKE"])
+    def test_shared_reductions_match_amplitude_oracle(self, make, rng):
+        assert_sweeps_match_oracle([make(n, float(rng.uniform(0, 2 * math.pi)))
+                                    for n in range(4, 13)])
+
+    def test_shared_reductions_of_asymmetric_states_match_oracle(self, rng):
+        states = [make_wclass(0.0, 0.0, g, math.sqrt(1.0 - g * g), 0.0)
+                  for g in (0.0, 0.3, 1 / math.sqrt(2.0), 1.0)]  # the FIG4 slice
+        # Symmetric under the swap of qubits 0 and 2 only, which no run of
+        # adjacent transpositions carries.
+        a = random_pure(5, rng).reshape((2,) * 5)
+        states.append(PureState(5, normalized(a + a.transpose(2, 1, 0, 3, 4))))
+        # Qubits 2, 3 and 4 of six permute freely; the others do not.
+        a = random_pure(6, rng).reshape((2,) * 6)
+        sym = sum(a.transpose((0, 1, *(2 + p for p in perm), 5))
+                  for perm in itertools.permutations(range(3)))
+        states.append(PureState(6, normalized(sym)))
+        states += [PureState(n, random_pure(n, rng)) for n in (4, 7, 9)]
+        assert_sweeps_match_oracle(states)
+
+    def test_each_class_is_reduced_once(self, kernel_runs, rng):
+        keeps = list(itertools.combinations(range(8), 3))
+        cases = [(make_gghz(8, 0.4), keeps, 1),
+                 (make_gghz(8, 0.4), keeps[::-1], 1),  # first keep is no representative
+                 (make_ms(8, 2.0), keeps, 2),
+                 (make_dicke(8, 4), keeps, 1),
+                 (PureState(8, random_pure(8, rng)), keeps, len(keeps))]
+        for psi, order, expected in cases:
+            kernel_runs.clear()
+            for keep in order:
+                reduce_pure(psi, keep)
+            assert len(kernel_runs) == expected
+
+    def test_one_ulp_off_symmetry_shares_nothing(self, kernel_runs):
+        ghz = make_gghz(8, 0.4)
+        amps = ghz.amplitudes.copy()
+        # Adjacent qubits of 0b01010101 all differ, so every adjacent
+        # transposition moves this amplitude onto a zero one.
+        amps[0b01010101] = np.nextafter(0.0, 1.0)
+        psi = PureState(8, amps)
+        keeps = list(itertools.combinations(range(8), 3))
+        for keep in keeps:
+            reduce_pure(psi, keep)
+        assert kernel_runs == keeps
+
+    def test_single_reduction_tests_no_symmetry(self, monkeypatch):
+        tests = []
+        run_starts = qstate._run_starts
+        monkeypatch.setattr(qstate, "_run_starts", lambda psi: tests.append(psi) or run_starts(psi))
+        psi = make_gghz(10, 0.4)
+        reduce_pure(psi, (3, 5, 9))
+        assert tests == []
+        reduce_pure(psi, (0, 1, 2))
+        reduce_pure(psi, (1, 2, 3))
+        assert tests == [psi]
+
+    def test_each_call_returns_its_own_read_only_matrix(self):
+        psi = make_gghz(6, 0.4)
+        rhos = [reduce_pure(psi, keep) for keep in [(0, 1, 2), (0, 1, 2), (2, 4, 5)]]
+        assert len({id(rho) for rho in rhos}) == 3
+        for rho in rhos:
+            assert not rho.entries.flags.writeable
+            with pytest.raises(ValueError):
+                rho.entries[0, 0] = 0.0
+            np.testing.assert_array_equal(rho.entries, rhos[0].entries)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts minor page faults with getrusage")
@@ -345,6 +419,32 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(keeps)
         expected[0, 0] = math.cos(theta) ** 2
         expected[7, 7] = math.sin(theta) ** 2
         np.testing.assert_allclose(rho.entries, expected, atol=1e-14)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The keeps that reduce_pure's kernel reduces, in call order."""
+    runs = []
+    kernel = qstate._reduce
+    monkeypatch.setattr(qstate, "_reduce", lambda psi, keep: runs.append(keep) or kernel(psi, keep))
+    return runs
+
+
+def normalized(a):
+    return (a / np.linalg.norm(a)).ravel()
+
+
+def assert_sweeps_match_oracle(states):
+    """Every three-qubit reduction of each state within 1e-14, swept in
+    order and, on a copy of the state, in reverse order."""
+    for psi in states:
+        n = psi.num_qubits
+        keeps = list(itertools.combinations(range(n), 3))
+        for state, order in ((psi, keeps), (PureState(n, psi.amplitudes), keeps[::-1])):
+            for keep in order:
+                np.testing.assert_allclose(reduce_pure(state, keep).entries,
+                                           oracle_reduce_pure(psi.amplitudes, n, keep),
+                                           rtol=0, atol=1e-14, err_msg=str((n, keep)))
 
 
 class TestStateSpec:
