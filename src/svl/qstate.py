@@ -9,7 +9,6 @@ construction and every operation here is a pure function.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import operator
@@ -234,18 +233,21 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     Kept qubits stay in their original order.  The full projector is
     never formed: the cost is linear in the state-vector size, which
     matters for many-qubit sweeps.  Keeps related by a permutation of
-    qubits that leaves psi unchanged give the same matrix, so from the
-    second reduction of a state on, each such class of keeps of at most
-    three qubits is reduced once; only the last state's classes are kept
-    (_classes).
+    qubits that leaves psi unchanged give the same matrix, so each such
+    class of keeps of at most three qubits is reduced once, on its
+    representative; the symmetry is found on a state's first reduction,
+    and only the last state's matrices are kept (_classes).
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
     _check_dense(len(kept))
     if len(kept) > _SHARED_MAX_KEPT:
-        rho = _reduce(psi, kept)
-    else:
-        rho = _shared_reduction(psi, kept)
+        return DensityMatrix(len(kept), _reduce(psi, kept))
+    start, reduced = _classes(psi)
+    rep = _representative(kept, start)
+    rho = reduced.get(rep)
+    if rho is None:
+        rho = reduced[rep] = _freeze(_reduce(psi, rep))
     return DensityMatrix(len(kept), rho)
 
 
@@ -288,43 +290,31 @@ def _reduce(psi: PureState, kept: tuple[int, ...]) -> np.ndarray:
 _SHARED_MAX_KEPT = 3
 
 
-class _Classes:
-    """What reduce_pure holds of the last state it reduced."""
-
-    __slots__ = ("first", "start", "reduced")
-
-    def __init__(self):
-        self.first = None    # (keep, frozen matrix) of the state's first reduction
-        # start[q] is the first qubit of q's run, found at the second
-        # reduction; () when every run is a single qubit.
-        self.start = None
-        self.reduced = {}    # class representative -> frozen matrix
-
-
 @functools.lru_cache(maxsize=1)
-def _classes(psi: PureState) -> _Classes:
-    return _Classes()
+def _classes(psi: PureState) -> tuple[tuple[int, ...], dict[tuple[int, ...], np.ndarray]]:
+    """The run starts of the last state reduced and its frozen matrices,
+    keyed by class representative."""
+    return _run_starts(psi), {}
 
 
 def _run_starts(psi: PureState) -> tuple[int, ...]:
-    """start[q], the first qubit of q's run, or () if every run is one qubit.
+    """start[q], the first qubit of q's run.
 
     A run is a maximal stretch of consecutive qubits whose adjacent
     transpositions all leave the amplitudes bit for bit unchanged, so psi
     is invariant under every permutation of the run.  Transposing q - 1
     and q swaps the |..01..> and |..10..> quarters of the state vector.
     """
-    n = psi.num_qubits
     bits = psi.amplitudes.view(np.uint64)
     start = [0]
-    for q in range(1, n):
+    for q in range(1, psi.num_qubits):
         quarters = bits.reshape(2 ** (q - 1), 2, 2, -1)
         a, b = quarters[:, 0, 1], quarters[:, 1, 0]
         # A generic state differs in the first entries already, so it
         # costs O(n) to test rather than O(n 2^n).
         same = np.array_equal(a[0, :8], b[0, :8]) and np.array_equal(a, b)
         start.append(start[-1] if same else q)
-    return tuple(start) if start != list(range(n)) else ()
+    return tuple(start)
 
 
 def _representative(kept: tuple[int, ...], start: tuple[int, ...]) -> tuple[int, ...]:
@@ -333,29 +323,6 @@ def _representative(kept: tuple[int, ...], start: tuple[int, ...]) -> tuple[int,
     for q in kept:
         rep.append(rep[-1] + 1 if rep and rep[-1] >= start[q] else start[q])
     return tuple(rep)
-
-
-def _shared_reduction(psi: PureState, kept: tuple[int, ...]) -> np.ndarray:
-    """_reduce(psi, kept), computed once per class of the last state."""
-    classes = _classes(psi)
-    if classes.first is None:
-        # A state reduced once pays for no symmetry test.
-        rho = _freeze(_reduce(psi, kept))
-        classes.first = kept, rho
-        return rho
-    if classes.start is None:
-        start = _run_starts(psi)
-        if start:
-            first, rho = classes.first
-            classes.reduced.setdefault(_representative(first, start), rho)
-        classes.start = start
-    if not classes.start:
-        return _reduce(psi, kept)
-    rep = _representative(kept, classes.start)
-    rho = classes.reduced.get(rep)
-    if rho is None:
-        rho = classes.reduced.setdefault(rep, _freeze(_reduce(psi, rep)))
-    return rho
 
 
 _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")
@@ -409,9 +376,9 @@ def _amplitudes(value: object) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateSpec:
-    """Serializable description of a state family plus its parameters.
+    """Description of a state family plus its parameters.
 
-    JSON shapes accepted by from_json (field "n" is the qubit count):
+    JSON shapes accepted by from_dict (field "n" is the qubit count):
 
       {"family": "GGHZ", "n": 4, "theta": 0.7853981633974483}
       {"family": "MS", "n": 4, "theta": 0.7853981633974483}
@@ -452,20 +419,6 @@ class StateSpec:
     def to_pure(self) -> PureState:
         return self._pure
 
-    def to_dict(self) -> dict:
-        out: dict[str, object] = {"family": self.family}
-        if self.family != "WCLASS":
-            out["n"] = self.num_qubits
-        if self.family == "CUSTOM":
-            out["amplitudes"] = [[float(c.real), float(c.imag)]
-                                 for c in self.to_pure().amplitudes]
-        else:
-            out.update({k: v for k, v in self.params.items()})
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "StateSpec":
         if not isinstance(data, Mapping):
@@ -475,11 +428,3 @@ class StateSpec:
         _check_fields(data["family"], set(data) - {"family"})
         params = {k: data[k] for k in data if k not in ("family", "n")}
         return cls(data["family"], data.get("n", 4), params)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateSpec":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # also an integer literal too long to convert
-            raise DomainError(f"malformed state JSON: {exc}") from exc
-        return cls.from_dict(data)

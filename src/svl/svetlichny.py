@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,8 +416,13 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    if not chunk >= 1:
-        raise DomainError(f"chunk must be at least 1, got {chunk!r}")
+    try:
+        # Python and numpy integers; floats, strings and None raise TypeError.
+        size = operator.index(chunk)
+    except TypeError:
+        size = None
+    if size is None or isinstance(chunk, bool) or size < 1:
+        raise DomainError(f"chunk must be an integer of at least 1, got {chunk!r}")
     m = correlation_tensor(rho).m
     dirs = _grid_directions(step)
     n = len(dirs)
@@ -436,8 +442,8 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
     dp = dirs[iu] + dirs[ju]
     dm = dirs[iu] - dirs[ju]
     best = 0.0
-    for start in range(0, dp.shape[0], chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, dp.shape[0], size):
+        sl = slice(start, start + size)
         # K[p, i, k] = sum_j m[i, j, k] * d[p, j]
         k_plus = np.einsum("ijk,pj->pik", m, dp[sl])
         k_minus = np.einsum("ijk,pj->pik", m, dm[sl])

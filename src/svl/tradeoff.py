@@ -18,7 +18,6 @@ values reach those bounds.  Only theorem2, theorem3, FIG2 and FIG3 have
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -285,9 +284,6 @@ class TradeoffReport:
             "gap": self.gap,
             "converged": self.converged,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _wcoeffs(spec: StateSpec) -> WClassCoefficients:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -359,16 +360,32 @@ class TestPartialTrace:
             reduce_pure(psi, keep)
         assert kernel_runs == keeps
 
-    def test_single_reduction_tests_no_symmetry(self, monkeypatch):
+    def test_symmetry_is_tested_once_per_state(self, monkeypatch):
         tests = []
         run_starts = qstate._run_starts
         monkeypatch.setattr(qstate, "_run_starts", lambda psi: tests.append(psi) or run_starts(psi))
         psi = make_gghz(10, 0.4)
         reduce_pure(psi, (3, 5, 9))
-        assert tests == []
-        reduce_pure(psi, (0, 1, 2))
-        reduce_pure(psi, (1, 2, 3))
         assert tests == [psi]
+        for keep in itertools.combinations(range(10), 3):
+            reduce_pure(psi, keep)
+        assert tests == [psi]
+
+    def test_generic_one_off_compares_a_few_entries(self, monkeypatch, rng):
+        sizes = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda a, b: sizes.append(a.size) or array_equal(a, b))
+        reduce_pure(PureState(16, random_pure(16, rng)), (3, 9, 13))
+        assert sizes and max(sizes) <= 8
+
+    @pytest.mark.parametrize("psi", [make_gghz(8, 0.4), make_ms(8, 2.0), make_dicke(8, 4)],
+                             ids=["GGHZ", "MS", "DICKE"])
+    def test_one_off_reduction_matches_sweep(self, psi):
+        swept = {keep: reduce_pure(psi, keep).entries
+                 for keep in itertools.combinations(range(8), 3)}
+        one_off = reduce_pure(PureState(8, psi.amplitudes), (5, 6, 7)).entries
+        assert one_off.tobytes() == swept[5, 6, 7].tobytes()
 
     def test_each_call_returns_its_own_read_only_matrix(self):
         psi = make_gghz(6, 0.4)
@@ -448,41 +465,39 @@ def assert_sweeps_match_oracle(states):
 
 
 class TestStateSpec:
-    def test_gghz_round_trip(self):
-        spec = StateSpec.from_json('{"family":"GGHZ","n":4,"theta":0.7853981633974483}')
+    def test_gghz_spec(self):
+        spec = from_json('{"family":"GGHZ","n":4,"theta":0.7853981633974483}')
         assert spec.num_qubits == 4
-        back = StateSpec.from_json(spec.to_json())
-        np.testing.assert_allclose(back.to_pure().amplitudes,
-                                   spec.to_pure().amplitudes, atol=1e-15)
+        np.testing.assert_array_equal(spec.to_pure().amplitudes,
+                                      make_gghz(4, 0.7853981633974483).amplitudes)
 
     def test_wclass_spec(self):
-        spec = StateSpec.from_json(
+        spec = from_json(
             '{"family":"WCLASS","alpha":0.5,"beta":0.5,"gamma":0.5,'
             '"delta":0.5,"lambda":0.0}')
         np.testing.assert_allclose(spec.to_pure().amplitudes,
                                    make_dicke(4, 3).amplitudes, atol=1e-15)
 
-    def test_custom_round_trip(self):
+    def test_custom_spec(self):
         psi = make_ms(4, 1.2)
-        spec = StateSpec("CUSTOM", 4, {
-            "amplitudes": [[c.real, c.imag] for c in psi.amplitudes]})
-        np.testing.assert_allclose(
-            StateSpec.from_json(spec.to_json()).to_pure().amplitudes,
-            psi.amplitudes, atol=1e-15)
+        text = json.dumps({"family": "CUSTOM", "n": 4,
+                           "amplitudes": [[c.real, c.imag] for c in psi.amplitudes]})
+        np.testing.assert_allclose(from_json(text).to_pure().amplitudes,
+                                   psi.amplitudes, atol=1e-15)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(DomainError):
-            StateSpec.from_json('{"family":"BELL","n":2}')
+            from_json('{"family":"BELL","n":2}')
 
     def test_rejects_missing_and_extra_fields(self):
         with pytest.raises(DomainError):
-            StateSpec.from_json('{"family":"GGHZ","n":4}')
+            from_json('{"family":"GGHZ","n":4}')
         with pytest.raises(DomainError):
-            StateSpec.from_json('{"family":"GGHZ","n":4,"theta":0,"m":1}')
+            from_json('{"family":"GGHZ","n":4,"theta":0,"m":1}')
 
     def test_rejects_unnormalized_wclass(self):
         with pytest.raises(NormalizationError):
-            StateSpec.from_json(
+            from_json(
                 '{"family":"WCLASS","alpha":1,"beta":1,"gamma":0,'
                 '"delta":0,"lambda":0}')
 
@@ -492,11 +507,11 @@ class TestStateSpec:
                                     "delta": 0.0, "lambda": 1.0})
 
     def test_integral_float_qubit_count_accepted(self):
-        spec = StateSpec.from_json('{"family":"GGHZ","n":4.0,"theta":0.3}')
+        spec = from_json('{"family":"GGHZ","n":4.0,"theta":0.3}')
         assert spec.num_qubits == 4 and type(spec.num_qubits) is int
         np.testing.assert_array_equal(spec.to_pure().amplitudes,
                                       make_gghz(4, 0.3).amplitudes)
-        dicke = StateSpec.from_json('{"family":"DICKE","n":4,"m":3.0}')
+        dicke = from_json('{"family":"DICKE","n":4,"m":3.0}')
         np.testing.assert_array_equal(dicke.to_pure().amplitudes,
                                       make_dicke(4, 3).amplitudes)
 
@@ -523,7 +538,7 @@ class TestStateSpec:
     ])
     def test_rejects_field_types(self, text):
         with pytest.raises(DomainError):
-            StateSpec.from_json(text)
+            from_json(text)
 
     @pytest.mark.parametrize("text, error", [
         ('{"family":"GGHZ","n":3,"theta":NaN}', DomainError),
@@ -535,10 +550,9 @@ class TestStateSpec:
     ])
     def test_rejects_non_finite_values(self, text, error):
         with pytest.raises(error):
-            StateSpec.from_json(text)
+            from_json(text)
 
-    def test_integer_literal_too_long_to_convert_is_domain_error(self):
-        # Python refuses int literals over 4300 digits with a bare ValueError.
-        text = '{"family":"GGHZ","n":3,"theta":1' + "0" * 5000 + "}"
-        with pytest.raises(DomainError, match="malformed state JSON"):
-            StateSpec.from_json(text)
+
+def from_json(text):
+    """The spec of a JSON text, by the path the CLI takes."""
+    return StateSpec.from_dict(json.loads(text))

@@ -314,10 +314,14 @@ class TestGridSearch:
         assert fine <= svetlichny_upper_bound(rho) + 1e-9
 
 
-    @pytest.mark.parametrize("chunk", [0, -1])
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, "4", None, True])
     def test_rejects_chunk_below_one(self, chunk):
         with pytest.raises(DomainError):
             svetlichny_grid_search(ghz3(), math.pi / 4, chunk=chunk)
+
+    def test_accepts_numpy_integer_chunk(self):
+        assert (svetlichny_grid_search(ghz3(), math.pi / 4, chunk=np.int64(7))
+                == svetlichny_grid_search(ghz3(), math.pi / 4))
 
     def test_grid_is_closed_under_negation(self):
         for step in (math.pi / 2, math.pi / 4, math.pi / 8, 1.0):

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -413,9 +414,7 @@ class TestVerifyTradeoff:
     def test_report_round_trips_to_json(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
         report = verify_tradeoff(spec, "theorem1", FAST)
-        import json
-
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["bound"] == "theorem1"
         assert data["satisfied"] is True
         assert len(data["per_reduction"]) == 4
