@@ -35,17 +35,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _checked(convert, ok, what: str):
-    """An argparse type that converts, then rejects values failing ok."""
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
-    return parse
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The svl argument parser, built once per process."""
@@ -64,16 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interpret angle parameters as degrees")
 
     optimizer = argparse.ArgumentParser(add_help=False)
-    optimizer.add_argument("--seed", type=_checked(int, lambda k: k >= 0, "non-negative"),
-                           default=42, help="seed for all randomized restarts (default 42)")
+    optimizer.add_argument("--seed", type=int, default=42,
+                           help="non-negative seed for all randomized restarts (default 42)")
     optimizer.add_argument("--restarts", type=int, default=64,
                            help="optimizer restarts (default 64)")
-    optimizer.add_argument("--max-iter", type=_checked(int, lambda k: k >= 1, "at least 1"),
-                           default=2000, help="see-saw sweep cap per restart (default 2000)")
-    optimizer.add_argument("--tol", default=1e-10,
-                           type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"),
-                           help="largest direction change in the sweep at which a restart "
-                                "converges (default 1e-10)")
     optimizer.add_argument("--allow-unconverged", action="store_true",
                            help="exit 0 even when the optimizer did not converge")
 
@@ -160,8 +143,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def _opts(args) -> OptimizerOptions:
-    return OptimizerOptions(restarts=args.restarts, max_iter=args.max_iter,
-                            tol=args.tol, seed=args.seed)
+    return OptimizerOptions(restarts=args.restarts, seed=args.seed)
 
 
 def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatrix:

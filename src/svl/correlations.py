@@ -159,17 +159,3 @@ def chsh_max(rho: DensityMatrix) -> float:
     mu = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * math.sqrt(max(float(mu[-1] + mu[-2]), 0.0))
 
-
-def _flattening_self_check() -> None:
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
-    rho = DensityMatrix(3, np.outer(ghz, ghz.conj()))
-    bound = svetlichny_upper_bound(rho)
-    if abs(bound - 4.0 * math.sqrt(2.0)) > 1e-9:
-        raise RuntimeError(
-            "correlation-tensor flattening convention broken: "
-            f"GHZ bound is {bound!r}, expected 4*sqrt(2)"
-        )
-
-
-_flattening_self_check()

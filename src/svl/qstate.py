@@ -124,12 +124,17 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps / norm
 
 
+def _check_theta(theta: float) -> None:
+    """DomainError unless theta is finite; shared by every theta family."""
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
+
+
 def make_gghz(n: int, theta: float) -> PureState:
     """Generalized GHZ state cos(theta)|0...0> + sin(theta)|1...1>."""
     if not 3 <= n <= MAX_QUBITS:
         raise InvalidArityError(f"GGHZ state needs 3 to {MAX_QUBITS} qubits, got {n}")
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
+    _check_theta(theta)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = math.cos(theta)
     amps[-1] = math.sin(theta)
@@ -144,8 +149,7 @@ def make_ms(n: int, theta: float) -> PureState:
     """
     if not 4 <= n <= MAX_QUBITS:
         raise InvalidArityError(f"MS state needs 4 to {MAX_QUBITS} qubits, got {n}")
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
+    _check_theta(theta)
     amps = np.zeros(2**n, dtype=complex)
     s = 1.0 / math.sqrt(2.0)
     amps[0] = s

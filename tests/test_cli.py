@@ -40,16 +40,16 @@ class TestMaximizeVerb:
         assert code == 2
         assert "3-qubit" in err
 
-    def test_unconverged_exit_code(self, capsys):
-        code, out, _ = run_cli(capsys, "maximize", "--state", GHZ3,
-                               "--restarts", "2", "--max-iter", "3")
+    def test_unconverged_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 3)
+        code, out, _ = run_cli(capsys, "maximize", "--state", GHZ3, "--restarts", "2")
         assert code == 4
         assert json.loads(out)["converged"] is False
 
-    def test_allow_unconverged(self, capsys):
+    def test_allow_unconverged(self, capsys, monkeypatch):
+        monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 3)
         code, _, _ = run_cli(capsys, "maximize", "--state", GHZ3,
-                             "--restarts", "2", "--max-iter", "3",
-                             "--allow-unconverged")
+                             "--restarts", "2", "--allow-unconverged")
         assert code == 0
 
 
@@ -153,7 +153,7 @@ class TestErrors:
                               '"gamma":0,"delta":0,"lambda":1}'], 3),
         (["bound", "--state", '{"family":"WCLASS","alpha":NaN,"beta":0,'
                               '"gamma":0,"delta":0,"lambda":1}'], 3),
-        (["maximize", "--state", GHZ3, "--seed", "-1"], 2),
+        (["maximize", "--state", GHZ3, "--seed", "-1"], 3),
         (["bound", "--state", GHZ3, "--output", "/nonexistent/x.json"], 2),
         (["bound", "--state", '{"family":"GGHZ","n":3.7,"theta":0}'], 3),
         (["bound", "--state", '{"family":"DICKE","n":3,"m":1.9}'], 3),
@@ -241,8 +241,8 @@ READERS = {
     "--degrees": set(BASE_ARGV) - set(FIGURE_ROWS),
     "--seed": OPTIMIZER_ROWS,
     "--restarts": OPTIMIZER_ROWS,
-    "--max-iter": OPTIMIZER_ROWS,
-    "--tol": OPTIMIZER_ROWS,
+    "--max-iter": set(),  # removed flags: every verb rejects them
+    "--tol": set(),
     "--allow-unconverged": OPTIMIZER_ROWS,
     "--variant": {"theorem2", "theorem3", "FIG2", "FIG3"},
     "--points": set(FIGURE_ROWS),
@@ -366,8 +366,9 @@ class TestFigureVerb:
         assert len(data) == 5
         assert set(data[0]) == {"theta", "sum_bound", "spectral_bound"}
 
-    def test_fig4_unconverged_exit_code(self, capsys):
-        argv = ["figure", "FIG4", "--points", "2", "--restarts", "1", "--max-iter", "1"]
+    def test_fig4_unconverged_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 1)
+        argv = ["figure", "FIG4", "--points", "2", "--restarts", "1"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 4
         assert len(out.strip().splitlines()) == 3

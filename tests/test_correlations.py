@@ -101,11 +101,6 @@ class TestCorrelationTensor:
         np.testing.assert_array_equal(again.m, first.m)
         assert svetlichny_upper_bound(twin) == svetlichny_upper_bound(rho)
 
-    def test_import_self_check_passes(self):
-        from svl.correlations import _flattening_self_check
-
-        _flattening_self_check()
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_tensor_and_matrix_reject_non_finite_entries(self, bad):
         m = np.zeros((3, 3, 3))

@@ -159,6 +159,20 @@ class TestValue:
             svetlichny_value(maximally_mixed(2), optimal_ghz_settings())
 
 
+class TestBlochVector:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        for theta, phi in ((bad, 0.0), (0.5, bad)):
+            with pytest.raises(DomainError):
+                BlochVector(theta, phi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_cartesian_rejects_non_finite_components(self, bad):
+        for v in ([bad, 0.0, 0.0], [0.0, bad, 1.0]):
+            with pytest.raises(DomainError):
+                BlochVector.from_cartesian(v)
+
+
 class TestMaximize:
     def test_ghz_reaches_maximum(self):
         best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=16))
@@ -216,8 +230,9 @@ class TestMaximize:
             best = maximize_svetlichny(rotated, OptimizerOptions(restarts=8))
             assert best.value == pytest.approx(target, abs=1e-6)
 
-    def test_unconverged_flag(self):
-        best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=2, max_iter=3))
+    def test_unconverged_flag(self, monkeypatch):
+        monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 3)
+        best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=2))
         assert not best.converged
         assert best.value <= 4 * SQRT2 + 1e-9
 
@@ -241,6 +256,25 @@ class TestMaximize:
         for restarts in (0, MAX_RESTARTS + 1):
             with pytest.raises(DomainError, match=str(MAX_RESTARTS)):
                 maximize_svetlichny(rho, OptimizerOptions(restarts=restarts))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2.5), ("seed", True), ("seed", "3"),
+        ("restarts", 0), ("restarts", MAX_RESTARTS + 1), ("restarts", 2.5),
+        ("restarts", True),
+    ])
+    def test_options_are_checked_when_built(self, monkeypatch, field, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the options check")
+
+        for name in ("SeedSequence", "default_rng"):
+            monkeypatch.setattr(np.random, name, refuse)
+        with pytest.raises(DomainError, match=field):
+            OptimizerOptions(**{field: value})
+
+    def test_options_accept_numpy_integers(self):
+        opts = OptimizerOptions(restarts=np.int64(8), seed=np.int64(3))
+        best = maximize_svetlichny(ghz3(), opts)
+        assert best == maximize_svetlichny(ghz3(), OptimizerOptions(restarts=8, seed=3))
 
     def test_cold_and_warm_starts_agree(self):
         rho = reduce_pure(make_ms(4, 1.0), (0, 1, 3))
@@ -281,8 +315,8 @@ class TestMaximize:
         m = correlation_tensor(rho).m
         starts = rng.normal(size=(64, 6, 3))
         starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-        large = _seesaw(m, starts, 2000, 1e-10)
-        small = _seesaw(m, starts[:8], 2000, 1e-10)
+        large = _seesaw(m, starts)
+        small = _seesaw(m, starts[:8])
         for big, part in zip(large, small):
             np.testing.assert_array_equal(big[:8], part)
 
@@ -318,6 +352,11 @@ class TestGridSearch:
     def test_rejects_chunk_below_one(self, chunk):
         with pytest.raises(DomainError):
             svetlichny_grid_search(ghz3(), math.pi / 4, chunk=chunk)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_step_that_is_not_finite_and_positive(self, step):
+        with pytest.raises(DomainError):
+            svetlichny_grid_search(ghz3(), step)
 
     def test_accepts_numpy_integer_chunk(self):
         assert (svetlichny_grid_search(ghz3(), math.pi / 4, chunk=np.int64(7))

@@ -141,6 +141,16 @@ class TestMsBounds:
             bound_ms_sum_n(3, 0.0)
 
 
+@pytest.mark.parametrize("bound", [
+    bound_gghz_sum, bound_gghz_sum_spectral, lambda t: bound_gghz_sum_n(5, t),
+    bound_ms_sum, bound_ms_sum_spectral, lambda t: bound_ms_sum_n(5, t),
+])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_theta_bounds_reject_non_finite_theta(bound, theta):
+    with pytest.raises(DomainError, match="theta"):
+        bound(theta)
+
+
 class TestWclassSumBound:
     def test_single_excitation(self):
         w = WClassCoefficients(1.0, 0.0, 0.0, 0.0, 0.0)
