@@ -3,8 +3,8 @@
 The three-qubit tensor m[i, j, k] = Tr(rho sigma_i x sigma_j x sigma_k)
 is flattened to a 3x9 matrix with the middle index as the row; its
 largest singular value lambda_1 gives the settings-independent bound
-4 * lambda_1 on the Svetlichny value.  A module import self-check pins
-the flattening convention to the known GHZ value 4*sqrt(2).
+4 * lambda_1 on the Svetlichny value.  The tests pin the flattening
+convention to a loop oracle and to the known GHZ value 4*sqrt(2).
 """
 
 from __future__ import annotations

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import PAULIS, correlation_tensor
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _bounded_int, _finite
 
 __all__ = [
     "BlochVector",
@@ -43,8 +42,8 @@ class BlochVector:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise DomainError(f"angles must be finite, got ({self.theta!r}, {self.phi!r})")
+        _finite("theta", self.theta)
+        _finite("phi", self.phi)
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -315,13 +314,6 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
 MAX_RESTARTS = 10**4
 
 
-def _bounded_int(name: str, x: object, low: int, high: float = math.inf) -> int:
-    """x as an int if it is an integer (numpy too, not a bool) in [low, high]."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool) and low <= x <= high:
-        return int(x)
-    raise DomainError(f"need an integer {name} in [{low}, {high}], got {x!r}")
-
-
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Controls for the multi-start see-saw over measurement directions.
@@ -385,8 +377,6 @@ def maximize_svetlichny(rho: DensityMatrix,
     """
     if opts is None:
         opts = OptimizerOptions()
-    if rho.num_qubits != 3:
-        raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
     m = correlation_tensor(rho).m
     v, value, sweeps, converged = _seesaw(m, _starts(opts.seed, opts.restarts))
     best = int(np.argmax(value))
@@ -432,10 +422,8 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
     directions at the same step, while staying feasible: the product grid
     itself has ~1e13 points at step pi/8.
     """
-    if rho.num_qubits != 3:
-        raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    size = _bounded_int("chunk", chunk, 1)
     m = correlation_tensor(rho).m
+    size = _bounded_int("chunk", chunk, 1)
     dirs = _grid_directions(step)
     n = len(dirs)
     if n > 4000:
@@ -487,4 +475,6 @@ def lagrange_max(u, v) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != (4,) or v.shape != (4,):
         raise InvalidArityError("coefficient arrays must each have length 4")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DomainError("coefficients must be finite")
     return math.sqrt(float(u @ u + v @ v))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError
-from .qstate import _WCLASS_KEYS, StateSpec, _check_theta, _normalized, reduce_pure
+from .qstate import (MAX_QUBITS, _WCLASS_KEYS, StateSpec, _bounded_int, _finite, _normalized,
+                     reduce_pure)
 from .svetlichny import OptimizerOptions, maximize_svetlichny
 
 __all__ = [
@@ -78,21 +79,20 @@ def _check_variant(variant: str, readings: tuple[str, ...] = VARIANTS,
 
 def bound_gghz_sum(theta: float) -> float:
     """Bound 16|cos 2 theta| on the summed values of all GGHZ(4) reductions."""
-    _check_theta(theta)
+    _finite("theta", theta)
     return 16.0 * abs(math.cos(2.0 * theta))
 
 
 def bound_gghz_sum_spectral(theta: float) -> float:
     """The looser route through per-reduction spectral bounds: 16 max(cos^4, sin^4)."""
-    _check_theta(theta)
+    _finite("theta", theta)
     return 16.0 * max(math.cos(theta) ** 4, math.sin(theta) ** 4)
 
 
 def bound_gghz_sum_n(n: int, theta: float) -> float:
-    """Bound 4 C(n,3) |cos 2 theta| for the n-qubit GGHZ state, n >= 4."""
-    if n < 4:
-        raise InvalidArityError(f"need n >= 4, got {n}")
-    _check_theta(theta)
+    """Bound 4 C(n,3) |cos 2 theta| for the n-qubit GGHZ state, 4 <= n <= 20."""
+    n = _bounded_int("n", n, 4, MAX_QUBITS, InvalidArityError)
+    _finite("theta", theta)
     return 4.0 * comb(n, 3) * abs(math.cos(2.0 * theta))
 
 
@@ -113,7 +113,7 @@ def bound_ms_sum(theta: float, variant: str = "verbatim") -> float:
     below the norm exactly where sin 2t < 0, so the verbatim bound is
     exceeded there.
     """
-    _check_theta(theta)
+    _finite("theta", theta)
     _check_variant(variant)
     c, s2 = math.cos(theta), math.sin(2.0 * theta)
     if variant == "verbatim":
@@ -130,7 +130,7 @@ def bound_ms_sum_spectral(theta: float) -> float:
     (4 sqrt(2) + 12)|cos t|, which exceeds 20 cos^2 t wherever
     0 < |cos t| < (4 sqrt(2) + 12) / 20.
     """
-    _check_theta(theta)
+    _finite("theta", theta)
     return 20.0 * math.cos(theta) ** 2
 
 
@@ -141,9 +141,8 @@ def bound_ms_sum_n(n: int, theta: float) -> float:
     At n = 4 the second coefficient is 4, not the 12 of bound_ms_sum; both
     values are kept available so the discrepancy stays visible.
     """
-    if n < 4:
-        raise InvalidArityError(f"need n >= 4, got {n}")
-    _check_theta(theta)
+    n = _bounded_int("n", n, 4, MAX_QUBITS, InvalidArityError)
+    _finite("theta", theta)
     heavy = comb(n - 1, 2)
     return (4.0 * math.sqrt(2.0) * heavy * abs(math.cos(theta))
             + 4.0 * (comb(n, 3) - heavy)
@@ -385,8 +384,7 @@ MAX_POINTS = 10**5
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if not 2 <= n <= MAX_POINTS:
-        raise DomainError(f"need 2 to {MAX_POINTS} grid points, got {n}")
+    n = _bounded_int("grid_points", n, 2, MAX_POINTS)
     step = (hi - lo) / (n - 1)
     return [lo + k * step for k in range(n)]
 

@@ -160,7 +160,7 @@ class TestValue:
 
 
 class TestBlochVector:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", True])
     def test_rejects_non_finite_angles(self, bad):
         for theta, phi in ((bad, 0.0), (0.5, bad)):
             with pytest.raises(DomainError):
@@ -405,6 +405,11 @@ class TestLagrangeMax:
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidArityError):
             lagrange_max([1, 2, 3], [0, 0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(DomainError):
+            lagrange_max([bad, 0, 0, 0], [0] * 4)
 
     def test_matches_projected_gradient(self, rng):
         for _ in range(20):
