@@ -9,7 +9,6 @@ convention to a loop oracle and to the known GHZ value 4*sqrt(2).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -94,29 +93,30 @@ def _tensor_table() -> tuple[np.ndarray, np.ndarray]:
 _GATHER, _PHASE = _tensor_table()
 
 
+_last: tuple[np.ndarray | None, CorrelationTensor3 | None] = (None, None)
+
+
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
     """All 27 values Tr(rho sigma_i x sigma_j x sigma_k).
 
     Each value is a sum of 8 phased entries of rho, gathered by
     _tensor_table and summed in row order.  The phases are exactly +-1 or
     +-i, so every product is exact and the sum matches the 4-operand
-    einsum over rho and three Pauli matrices bit for bit.  The last
-    state's tensor is kept (_tensor), so the maximizer and the 4*lambda1
-    bound of one reduction build it once.
+    einsum over rho and three Pauli matrices bit for bit.  The last tensor
+    is kept with the read-only entries it came from (_last), so the calls
+    of one reduction, and all keeps of one symmetry class, build it once.
     """
+    global _last
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    return _tensor(rho)
-
-
-# Keyed by the DensityMatrix itself, which is immutable and hashed by
-# identity, so a hit is the same matrix and not only an equal one.
-@functools.lru_cache(maxsize=1)
-def _tensor(rho: DensityMatrix) -> CorrelationTensor3:
-    m = (rho.entries.ravel()[_GATHER] * _PHASE).sum(axis=0).reshape(3, 3, 3)
-    if np.abs(m.imag).max() > _IMAG_TOL:
-        raise DomainError("correlation tensor has a non-real entry")
-    return CorrelationTensor3(m.real)
+    entries, tensor = _last
+    if entries is not rho.entries:
+        m = (rho.entries.ravel()[_GATHER] * _PHASE).sum(axis=0).reshape(3, 3, 3)
+        if np.abs(m.imag).max() > _IMAG_TOL:
+            raise DomainError("correlation tensor has a non-real entry")
+        tensor = CorrelationTensor3(m.real)
+        _last = rho.entries, tensor
+    return tensor
 
 
 def pair_correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix2:

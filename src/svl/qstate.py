@@ -67,7 +67,9 @@ def _bounded_int(name: str, x: object, low: int, high: float = math.inf,
     except TypeError:
         k = None
     if k is None or isinstance(x, bool) or not low <= k <= high:
-        raise error(f"need an integer {name} in [{low}, {high}], got {x!r}")
+        # Python refuses to print an integer of more than 4300 digits.
+        got = repr(x) if k is None or k.bit_length() <= 64 else f"a {k.bit_length()}-bit integer"
+        raise error(f"need an integer {name} in [{low}, {high}], got {got}")
     return k
 
 
@@ -97,6 +99,12 @@ class PureState:
                 f"amplitudes have norm {np.linalg.norm(amps)!r}, expected 1"
             )
         object.__setattr__(self, "amplitudes", _freeze(amps))
+
+    @functools.cached_property
+    def _classes(self) -> tuple[tuple[int, ...], dict[tuple[int, ...], np.ndarray]]:
+        """The run starts of the state and its frozen reduced matrices,
+        keyed by class representative."""
+        return _run_starts(self), {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,14 +250,14 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     qubits that leaves psi unchanged give the same matrix, so each such
     class of keeps of at most three qubits is reduced once, on its
     representative; the symmetry is found on a state's first reduction,
-    and only the last state's matrices are kept (_classes).
+    and the state keeps it and the matrices (PureState._classes).
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
     _check_dense(len(kept))
     if len(kept) > _SHARED_MAX_KEPT:
         return DensityMatrix(len(kept), _reduce(psi, kept))
-    start, reduced = _classes(psi)
+    start, reduced = psi._classes
     rep = _representative(kept, start)
     rho = reduced.get(rep)
     if rho is None:
@@ -294,13 +302,6 @@ def _reduce(psi: PureState, kept: tuple[int, ...]) -> np.ndarray:
 # Keeps of up to this many qubits (8x8 matrices) share their reductions;
 # a larger one would keep a matrix of up to 256 MiB past its caller.
 _SHARED_MAX_KEPT = 3
-
-
-@functools.lru_cache(maxsize=1)
-def _classes(psi: PureState) -> tuple[tuple[int, ...], dict[tuple[int, ...], np.ndarray]]:
-    """The run starts of the last state reduced and its frozen matrices,
-    keyed by class representative."""
-    return _run_starts(psi), {}
 
 
 def _run_starts(psi: PureState) -> tuple[int, ...]:
@@ -361,7 +362,7 @@ def _real(name: str, value: object) -> float:
         try:
             return float(value)
         except OverflowError:
-            pass
+            raise DomainError(f"field {name!r} is too large for a float") from None
     raise DomainError(f"field {name!r} must be a real number, got {value!r}")
 
 

@@ -393,8 +393,9 @@ def _grid_directions(step: float) -> np.ndarray:
     those with azimuth below pi); the second half is its exact negation,
     so the grid is closed under negation bit for bit.
     """
-    if not 0 < step < math.inf:  # NaN fails too
-        raise DomainError(f"grid step must be finite and positive, got {step!r}")
+    _finite("step", step)
+    if not step > 0:
+        raise DomainError(f"grid step must be positive, got {step!r}")
     thetas = np.arange(0.0, math.pi + 0.5 * step, step)
     phis = np.arange(0.0, 2.0 * math.pi - 0.5 * step, step)
     upper = [np.array([0.0, 0.0, 1.0])]

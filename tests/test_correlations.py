@@ -101,6 +101,11 @@ class TestCorrelationTensor:
         np.testing.assert_array_equal(again.m, first.m)
         assert svetlichny_upper_bound(twin) == svetlichny_upper_bound(rho)
 
+    def test_keeps_of_one_class_share_the_tensor(self):
+        g = make_gghz(8, 0.4)
+        first = correlation_tensor(reduce_pure(g, (0, 1, 2)))
+        assert correlation_tensor(reduce_pure(g, (3, 5, 7))) is first
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_tensor_and_matrix_reject_non_finite_entries(self, bad):
         m = np.zeros((3, 3, 3))

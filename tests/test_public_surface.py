@@ -61,7 +61,7 @@ COUNTS = {
 }
 HUGE = 10**400
 NOT_COUNTS = {"2.5": 2.5, "4.0": 4.0, "True": True, "np.True_": np.True_, "'4'": "4",
-              "10**400": HUGE}
+              "10**400": HUGE, "-10**5000": -10**5000}
 # Any non-negative integer is a seed, and any positive one a chunk size.
 UNBOUNDED = ("OptimizerOptions.seed", "svetlichny_grid_search.chunk")
 

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -126,7 +128,8 @@ class TestConstructors:
                     expected[idx] = 1.0 / math.sqrt(math.comb(n, m))
             assert np.array_equal(make_dicke(n, m).amplitudes, expected)
 
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "0.3", True])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "0.3", True,
+                                       pytest.param(-10**5000, id="-10**5000")])
     def test_gghz_and_ms_reject_non_finite_theta(self, theta):
         with pytest.raises(DomainError):
             make_gghz(3, theta)
@@ -347,6 +350,21 @@ class TestPartialTrace:
             for keep in order:
                 reduce_pure(psi, keep)
             assert len(kernel_runs) == expected
+
+    def test_alternating_states_keep_their_classes(self, kernel_runs):
+        gghz, ms = make_gghz(8, 0.4), make_ms(8, 2.0)
+        for keep in itertools.combinations(range(8), 3):
+            reduce_pure(gghz, keep)
+            reduce_pure(ms, keep)
+        assert len(kernel_runs) == 3  # one class for GGHZ, two for MS
+
+    def test_reduced_state_is_freed_with_its_classes(self):
+        psi = make_gghz(12, 0.4)
+        reduce_pure(psi, (0, 1, 2))
+        dropped = weakref.ref(psi)
+        del psi
+        gc.collect()
+        assert dropped() is None
 
     def test_one_ulp_off_symmetry_shares_nothing(self, kernel_runs):
         ghz = make_gghz(8, 0.4)

@@ -353,7 +353,7 @@ class TestGridSearch:
         with pytest.raises(DomainError):
             svetlichny_grid_search(ghz3(), math.pi / 4, chunk=chunk)
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, "0.3", True])
     def test_rejects_step_that_is_not_finite_and_positive(self, step):
         with pytest.raises(DomainError):
             svetlichny_grid_search(ghz3(), step)

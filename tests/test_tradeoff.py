@@ -145,7 +145,8 @@ class TestMsBounds:
     bound_gghz_sum, bound_gghz_sum_spectral, lambda t: bound_gghz_sum_n(5, t),
     bound_ms_sum, bound_ms_sum_spectral, lambda t: bound_ms_sum_n(5, t),
 ])
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "0.3", True])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "0.3", True,
+                                   pytest.param(-10**5000, id="-10**5000")])
 def test_theta_bounds_reject_non_finite_theta(bound, theta):
     with pytest.raises(DomainError, match="theta"):
         bound(theta)
