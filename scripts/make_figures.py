@@ -2,8 +2,9 @@
 """Regenerate the four figure CSVs.
 
 FIG1 through FIG3 are closed-form curves and run instantly; FIG4
-maximizes four reductions per grid point, so its point count and
-restart budget are kept configurable.  Outputs land in --outdir with
+maximizes four reductions per grid point, each in closed form (its
+restart budget only matters where the see-saw has to run), so the
+defaults take well under a second.  Outputs land in --outdir with
 one file per figure; rerunning with the same arguments reproduces the
 files byte for byte.
 """

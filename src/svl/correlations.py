@@ -142,11 +142,15 @@ def largest_singular_value(mat: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
+def _upper_bound(tensor: CorrelationTensor3) -> float:
+    """4 * lambda_1 of the tensor: the one formula of svetlichny_upper_bound
+    and of the certificate maximize_svetlichny's exact path must reach."""
+    return 4.0 * largest_singular_value(flatten_correlation_tensor(tensor))
+
+
 def svetlichny_upper_bound(rho: DensityMatrix) -> float:
     """Settings-independent bound 4 * lambda_1 on the Svetlichny value."""
-    return 4.0 * largest_singular_value(
-        flatten_correlation_tensor(correlation_tensor(rho))
-    )
+    return _upper_bound(correlation_tensor(rho))
 
 
 def chsh_max(rho: DensityMatrix) -> float:

@@ -100,6 +100,11 @@ class PureState:
             )
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
+    def __reduce__(self):
+        # Unpickling rebuilds through the constructor, so the copy is
+        # checked and frozen again and starts without a class table.
+        return type(self), (self.num_qubits, self.amplitudes)
+
     @functools.cached_property
     def _classes(self) -> tuple[tuple[int, ...], dict[tuple[int, ...], np.ndarray]]:
         """The run starts of the state and its frozen reduced matrices,
@@ -136,6 +141,10 @@ class DensityMatrix:
             if not np.linalg.eigvalsh(mat)[0] >= -PSD_TOL:
                 raise DomainError("matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "entries", _freeze(mat))
+
+    def __reduce__(self):
+        # As for PureState: unpickling checks and freezes the copy again.
+        return type(self), (self.num_qubits, self.entries)
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import PAULIS, correlation_tensor
+from .correlations import PAULIS, _upper_bound, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
 from .qstate import DensityMatrix, _bounded_int, _finite
 
@@ -151,17 +151,22 @@ _AXES = np.eye(3)
 _BLOCKS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
-def _operands(m: np.ndarray):
+def _form(m: np.ndarray) -> np.ndarray:
     """The value as a trilinear form of the parties' pairs (a, a'), (b, b'),
     (c, c'), each flattened to 6 entries: form[x i, y j, z k] =
-    _SIGN[x, y, z] m[i, j, k].
+    _SIGN[x, y, z] m[i, j, k]."""
+    return (_SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]).reshape(6, 6, 6)
 
-    Returns the form with each party's axis first (for _coefficients) and
-    transposed to each order of _BLOCKS (for _newton_step).  All are views
-    of one array: einsum follows the strides it is given, so contiguous
-    copies can sum in another order and change the last bits.
+
+def _operands(m: np.ndarray):
+    """_form(m) with each party's axis first (for _coefficients) and
+    transposed to each order of _BLOCKS (for _newton_step).
+
+    All are views of one array: einsum follows the strides it is given,
+    so contiguous copies can sum in another order and change the last
+    bits.
     """
-    form = (_SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]).reshape(6, 6, 6)
+    form = _form(m)
     return (tuple(np.moveaxis(form, party, 0) for party in range(3)),
             tuple(np.transpose(form, order) for order in _BLOCKS))
 
@@ -358,29 +363,130 @@ class SvetlichnyMaximum:
     restarts: int
 
 
+# Closed-form settings are accepted when their value is this close to
+# 4*lambda1: first on the tensor (_exact_directions), then through
+# svetlichny_value.
+_EXACT_TOL = 1e-12
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / |x| for a real or complex x; the z axis for a zero x."""
+    norm = np.linalg.norm(x)
+    return x / norm if norm > 0.0 else _AXES[2]
+
+
+def _phased(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(sqrt(2) e^{i phi} x, phi) for a complex unit vector x, with phi
+    chosen so that the real and imaginary parts are unit vectors: their
+    squared norms differ by Re(2 e^{2i phi} x . x), which is then 0."""
+    phi = 0.5 * (0.5 * math.pi - float(np.angle(x @ x)))
+    return math.sqrt(2.0) * complex(math.cos(phi), math.sin(phi)) * x, phi
+
+
+def _case_a(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Directions of case A of _exact_directions."""
+    ua = _unit(g[:, np.argmax(np.linalg.norm(g, axis=0))])
+    uc = _unit(ua @ g)
+    return np.array([ua, -ua, d, d, uc, uc])
+
+
+def _case_b(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Directions of case B of _exact_directions."""
+    z = g + 1j * gp
+    u = _unit(z[:, np.argmax(np.linalg.norm(z, axis=0))])
+    alpha, phi_a = _phased(u)
+    gamma, phi_c = _phased(_unit(u.conj() @ z))
+    cos, sin = math.cos(phi_a + phi_c), math.sin(phi_a + phi_c)
+    d, dp = cos * d - sin * dp, sin * d + cos * dp
+    return np.array([alpha.real, alpha.imag, (d + dp) / math.sqrt(2.0),
+                     (d - dp) / math.sqrt(2.0), gamma.real, gamma.imag])
+
+
+def _exact_directions(tensor, bound: float) -> np.ndarray | None:
+    """Closed-form directions (6, 3) whose value on the tensor is within
+    _EXACT_TOL of bound (its 4*lambda1), or None.
+
+    Write b + b' = 2 cos(w) d and b - b' = 2 sin(w) d' with d orthogonal
+    to d', and G(d)[i, k] = m[i, j, k] d_j.  The value is then
+    2 cos(w) <G(d), X> + 2 sin(w) <G(d'), Y> with
+    X + iY = (a + ia')(c + ic')^T, and two cases reach 4*lambda1, with
+    d and d' the top two left singular vectors of the flattening:
+
+    A (w = 0): G(d) = lambda1 u_a u_c^T has rank one.  Then a = -a' = u_a,
+      b = b' = d and c = c' = u_c.  A zero tensor falls here, with any
+      directions and value 0.
+    B (w = pi/4): lambda1 = lambda2 and Z = G(d) + iG(d') has complex
+      rank one, Z = s u v^H.  Then a + ia' and c + ic' are sqrt(2) times
+      u and conj(v), each phased so that its real and imaginary parts are
+      unit vectors (_phased), and (d, d') turns by the sum of the two
+      phases, so that b, b' = (d +- d') / sqrt(2) collect the value
+      2 sqrt(2) s = 4 lambda1.
+
+    Each case builds its directions from the largest column of G(d) or
+    Z; the first whose value reaches bound is returned.  Case B is not
+    tried where lambda1^2 - lambda2^2 exceeds bound * _EXACT_TOL: its
+    value is at most 2 sqrt(2 (lambda1^2 + lambda2^2)), which then
+    falls short of bound by more than _EXACT_TOL.
+    """
+    flat = flatten_correlation_tensor(tensor)
+    lam, left = np.linalg.eigh(flat @ flat.T)
+    d, dp = left[:, 2], left[:, 1]
+    g, gp = (d @ flat).reshape(3, 3), (dp @ flat).reshape(3, 3)
+    # Party 0's axis is already first in the form, so _coefficients reads
+    # it alone.
+    forms = (_form(tensor.m),)
+    degenerate = lam[2] - lam[1] <= bound * _EXACT_TOL
+    for case in (_case_a, _case_b) if degenerate else (_case_a,):
+        v = case(g, gp, d, dp)
+        if abs((v[:2] * _coefficients(forms, v[None], 0)[0]).sum() - bound) <= _EXACT_TOL:
+            return v
+    return None
+
+
+def _settings(v: np.ndarray) -> SvetlichnySettings:
+    return SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v))
+
+
 def maximize_svetlichny(rho: DensityMatrix,
                         opts: OptimizerOptions | None = None) -> SvetlichnyMaximum:
-    """Maximize Tr(S rho) over all settings by a multi-start see-saw.
+    """Maximize Tr(S rho) over all settings: in closed form where the
+    4*lambda1 certificate is tight, by a multi-start see-saw elsewhere.
 
-    The value is linear in each party's pair of settings, so for fixed
-    other settings the best pair is the normalized pair of coefficient
-    vectors.  All restarts sweep over the three parties in one batch
-    (alternating maximization; Pal and Vertesi, PRA 82, 022116 (2010)),
-    and each sweep ends with a safeguarded Newton step (_seesaw).
-    Restart k draws its starting unit vectors from a generator seeded
-    deterministically by (opts.seed, k) (_starts), and its arithmetic
-    does not depend on the other restarts, so enlarging the restart
-    budget keeps the earlier restarts unchanged.  evaluations counts
-    sweeps over all restarts.  If the best restart used all _MAX_SWEEPS
-    sweeps without converging, its value is still returned with
-    converged set to False.
+    Exact path: where the correlation tensor falls in case A or B of
+    _exact_directions (every reduction of the GGHZ and MS families and
+    of the FIG4 slice does, as do zero tensors), the settings are built
+    from the top singular vectors of its flattening.  They are accepted
+    if svetlichny_value on them is within _EXACT_TOL of 4*lambda1, which
+    proves them optimal; the result then reads converged True and
+    evaluations 0, and does not depend on opts (no start is drawn).
+
+    See-saw: the value is linear in each party's pair of settings, so
+    for fixed other settings the best pair is the normalized pair of
+    coefficient vectors.  All restarts sweep over the three parties in
+    one batch (alternating maximization; Pal and Vertesi, PRA 82, 022116
+    (2010)), and each sweep ends with a safeguarded Newton step
+    (_seesaw).  Restart k draws its starting unit vectors from a
+    generator seeded deterministically by (opts.seed, k) (_starts), and
+    its arithmetic does not depend on the other restarts, so enlarging
+    the restart budget keeps the earlier restarts unchanged.
+    evaluations counts sweeps over all restarts.  If the best restart
+    used all _MAX_SWEEPS sweeps without converging, its value is still
+    returned with converged set to False.
     """
     if opts is None:
         opts = OptimizerOptions()
-    m = correlation_tensor(rho).m
-    v, value, sweeps, converged = _seesaw(m, _starts(opts.seed, opts.restarts))
+    tensor = correlation_tensor(rho)
+    bound = _upper_bound(tensor)
+    v = _exact_directions(tensor, bound)
+    if v is not None:
+        settings = _settings(v)
+        value = svetlichny_value(rho, settings)
+        if abs(value - bound) <= _EXACT_TOL:
+            return SvetlichnyMaximum(value=value, settings=settings, converged=True,
+                                     evaluations=0, restarts=opts.restarts)
+    v, value, sweeps, converged = _seesaw(tensor.m, _starts(opts.seed, opts.restarts))
     best = int(np.argmax(value))
-    settings = SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v[best]))
+    settings = _settings(v[best])
     return SvetlichnyMaximum(value=svetlichny_value(rho, settings), settings=settings,
                              converged=bool(converged[best]),
                              evaluations=int(sweeps.sum()), restarts=opts.restarts)

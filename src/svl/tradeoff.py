@@ -9,11 +9,12 @@ Two readings exist for formulas whose printed form contains
 asymmetric mixed-power terms: "verbatim" evaluates them exactly as
 printed, "corrected" restores the symmetry the surrounding terms obey.
 Both are exposed and neither is asserted as ground truth for the
-W-class bounds.  The maximal-slice sum bound has a "corrected" reading
-too; unlike the printed one it is certified: each of its terms equals
-the 4*lambda1 bound of the reduction it stands for, and the maximized
-values reach those bounds.  Only theorem2, theorem3, FIG2 and FIG3 have
-"corrected"; verify_tradeoff and sweep_figure reject it for the others.
+W-class bounds.  The four- and n-qubit maximal-slice sum bounds have a
+"corrected" reading too; unlike the printed one it is certified: each
+of its terms equals the 4*lambda1 bound of the reductions it stands
+for, and the maximized values reach those bounds.  Only theorem2,
+corollary2, theorem3, FIG2 and FIG3 have "corrected"; verify_tradeoff
+and sweep_figure reject it for the others.
 """
 
 from __future__ import annotations
@@ -134,18 +135,31 @@ def bound_ms_sum_spectral(theta: float) -> float:
     return 20.0 * math.cos(theta) ** 2
 
 
-def bound_ms_sum_n(n: int, theta: float) -> float:
-    """n-qubit MS bound; does not reduce to bound_ms_sum at n = 4.
+def bound_ms_sum_n(n: int, theta: float, variant: str = "verbatim") -> float:
+    """n-qubit MS bound, 4 <= n <= 20.
 
-    4 sqrt(2) C(n-1,2)|cos t| + 4 (C(n,3) - C(n-1,2)) |cos^2 t + sin(2t)/2|.
-    At n = 4 the second coefficient is 4, not the 12 of bound_ms_sum; both
-    values are kept available so the discrepancy stays visible.
+    verbatim:  4 sqrt(2) C(n-1,2)|cos t|
+               + 4 (C(n,3) - C(n-1,2)) |cos^2 t + sin(2t)/2|, as printed.
+    corrected: 4 C(n-1,2)|cos t|, plus 4 sqrt(2)|cos t| at n = 4.
+
+    The C(n-1,2) reductions of make_ms(n, t) that keep the last qubit are
+    the light state of bound_ms_sum, at 4|cos t|.  The others are the
+    GHZ-type state at n = 4 (4 sqrt(2)|cos t|) and classical mixtures
+    with value 0 for n >= 5.  Each term of the corrected reading is the
+    4*lambda1 bound of the reductions it stands for, and the maximized
+    values reach them, so it equals the maximized sum; at n = 4 it is
+    bound_ms_sum(t, "corrected").  The printed reading swaps the weights:
+    at n = 4 its second coefficient is 4, not the 12 of bound_ms_sum.
     """
     n = _bounded_int("n", n, 4, MAX_QUBITS, InvalidArityError)
     _finite("theta", theta)
-    heavy = comb(n - 1, 2)
-    return (4.0 * math.sqrt(2.0) * heavy * abs(math.cos(theta))
-            + 4.0 * (comb(n, 3) - heavy)
+    _check_variant(variant)
+    light = comb(n - 1, 2)
+    c = abs(math.cos(theta))
+    if variant == "corrected":
+        return 4.0 * light * c + (4.0 * math.sqrt(2.0) * c if n == 4 else 0.0)
+    return (4.0 * math.sqrt(2.0) * light * c
+            + 4.0 * (comb(n, 3) - light)
             * abs(math.cos(theta) ** 2 + 0.5 * math.sin(2.0 * theta)))
 
 
@@ -305,7 +319,8 @@ class _BoundRule:
 
 
 # Registry keyed by the bound identifiers the CLI accepts.  Each rule
-# lists the readings its bound has; only theorem2 and theorem3 have two.
+# lists the readings its bound has; theorem2, corollary2 and theorem3
+# have two.
 _BOUND_RULES: dict[str, _BoundRule] = {
     "theorem1": _BoundRule("sum", "GGHZ", 4, ("verbatim",),
                            lambda s, v: bound_gghz_sum(s.params["theta"])),
@@ -313,8 +328,8 @@ _BOUND_RULES: dict[str, _BoundRule] = {
                              lambda s, v: bound_gghz_sum_n(s.num_qubits, s.params["theta"])),
     "theorem2": _BoundRule("sum", "MS", 4, VARIANTS,
                            lambda s, v: bound_ms_sum(s.params["theta"], v)),
-    "corollary2": _BoundRule("sum", "MS", None, ("verbatim",),
-                             lambda s, v: bound_ms_sum_n(s.num_qubits, s.params["theta"])),
+    "corollary2": _BoundRule("sum", "MS", None, VARIANTS,
+                             lambda s, v: bound_ms_sum_n(s.num_qubits, s.params["theta"], v)),
     "theorem3": _BoundRule("sum", "WCLASS", 4, VARIANTS,
                            lambda s, v: bound_wclass_sum(_wcoeffs(s), v)),
     "eqn3p": _BoundRule("sum_squares", "WCLASS", 4, ("verbatim",),

@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from svl import bound_ms_sum
+from svl import bound_ms_sum, bound_ms_sum_n
 from svl.cli import main
 
 GHZ3 = '{"family":"GGHZ","n":3,"theta":0.7853981633974483}'
 GGHZ4 = '{"family":"GGHZ","n":4,"theta":0.0}'
+# The W state stays below its 4*lambda1, so only the see-saw maximizes it.
+W3 = '{"family":"DICKE","n":3,"m":1}'
 
 
 def run_cli(capsys, *argv):
@@ -42,15 +44,25 @@ class TestMaximizeVerb:
 
     def test_unconverged_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 3)
-        code, out, _ = run_cli(capsys, "maximize", "--state", GHZ3, "--restarts", "2")
+        code, out, _ = run_cli(capsys, "maximize", "--state", W3, "--restarts", "2")
         assert code == 4
         assert json.loads(out)["converged"] is False
 
     def test_allow_unconverged(self, capsys, monkeypatch):
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 3)
-        code, _, _ = run_cli(capsys, "maximize", "--state", GHZ3,
+        code, out, _ = run_cli(capsys, "maximize", "--state", W3,
                              "--restarts", "2", "--allow-unconverged")
         assert code == 0
+        assert json.loads(out)["converged"] is False
+
+    def test_tight_reduction_is_exact_whatever_the_sweep_cap(self, capsys, monkeypatch):
+        # GHZ reaches its 4*lambda1 in closed form: no sweep, no exit 4.
+        monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 1)
+        code, out, _ = run_cli(capsys, "maximize", "--state", GHZ3, "--restarts", "2")
+        data = json.loads(out)
+        assert code == 0
+        assert (data["converged"], data["evaluations"]) == (True, 0)
+        assert data["value"] == pytest.approx(4 * math.sqrt(2), abs=1e-12)
 
 
 class TestBoundVerb:
@@ -244,7 +256,7 @@ READERS = {
     "--max-iter": set(),  # removed flags: every verb rejects them
     "--tol": set(),
     "--allow-unconverged": OPTIMIZER_ROWS,
-    "--variant": {"theorem2", "theorem3", "FIG2", "FIG3"},
+    "--variant": {"theorem2", "corollary2", "theorem3", "FIG2", "FIG3"},
     "--points": set(FIGURE_ROWS),
 }
 FLAG_ARGS = {"--format": ["json"], "--degrees": [], "--seed": ["3"],
@@ -322,7 +334,7 @@ class TestTradeoffVerb:
         assert json.loads(out)["rhs"] == pytest.approx(16 * abs(math.cos(2.0)),
                                                        abs=1e-12)
 
-    @pytest.mark.parametrize("bound", ["theorem1", "corollary1", "corollary2", "eqn3p"])
+    @pytest.mark.parametrize("bound", ["theorem1", "corollary1", "eqn3p"])
     def test_variant_of_one_reading_bound_is_argument_error(self, capsys, bound):
         # Rejected at parse time, before the state is read, as for figures.
         code, out, err = run_cli(capsys, "tradeoff", bound, "--state", "{",
@@ -346,6 +358,22 @@ class TestTradeoffVerb:
         assert data["rhs"] == bound_ms_sum(theta, "corrected")
         assert data["satisfied"] is True
 
+    def test_corollary2_corrected_variant(self, capsys):
+        # The printed n-qubit bound fails here (lhs 12.49 > rhs 12.0); the
+        # corrected reading is the maximized sum.
+        spec = json.dumps({"family": "MS", "n": 4, "theta": 3 * math.pi / 4})
+        argv = ["tradeoff", "corollary2", "--state", spec, "--restarts", "8"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["satisfied"] is False
+        code, out, _ = run_cli(capsys, *argv, "--variant", "corrected")
+        assert code == 0
+        data = json.loads(out)
+        assert data["variant"] == "corrected"
+        assert data["rhs"] == bound_ms_sum_n(4, 3 * math.pi / 4, "corrected")
+        assert data["lhs"] == pytest.approx(data["rhs"], abs=1e-9)
+        assert data["satisfied"] is True
+
 
 class TestFigureVerb:
     def test_fig1_csv(self, capsys):
@@ -367,6 +395,9 @@ class TestFigureVerb:
         assert set(data[0]) == {"theta", "sum_bound", "spectral_bound"}
 
     def test_fig4_unconverged_exit_code(self, capsys, monkeypatch):
+        # Every FIG4 reduction is maximized in closed form; declining it
+        # leaves them to the see-saw.
+        monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 1)
         argv = ["figure", "FIG4", "--points", "2", "--restarts", "1"]
         code, out, _ = run_cli(capsys, *argv)
@@ -390,9 +421,9 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_seed_changes_search_path(self, capsys):
-        _, out1, _ = run_cli(capsys, "maximize", "--state", GHZ3,
+        _, out1, _ = run_cli(capsys, "maximize", "--state", W3,
                              "--restarts", "2", "--seed", "1")
-        _, out2, _ = run_cli(capsys, "maximize", "--state", GHZ3,
+        _, out2, _ = run_cli(capsys, "maximize", "--state", W3,
                              "--restarts", "2", "--seed", "2")
         assert (json.loads(out1)["settings"] != json.loads(out2)["settings"])
 

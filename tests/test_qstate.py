@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -241,6 +242,32 @@ class TestDensity:
             DensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
         with pytest.raises(DomainError):
             DensityMatrix(1, np.full((2, 2), bad))
+
+    def test_pickle_rebuilds_through_the_constructor(self):
+        psi = make_gghz(6, 0.4)
+        reduce_pure(psi, (0, 1, 2))
+        reduce_pure(psi, (0, 1, 3))
+        copy = pickle.loads(pickle.dumps(psi))
+        assert copy.amplitudes.tobytes() == psi.amplitudes.tobytes()
+        assert not copy.amplitudes.flags.writeable
+        assert "_classes" not in vars(copy)
+        assert (reduce_pure(copy, (1, 3, 5)).entries.tobytes()
+                == reduce_pure(psi, (1, 3, 5)).entries.tobytes())
+        rho = reduce_pure(psi, (0, 2, 4))
+        back = pickle.loads(pickle.dumps(rho))
+        assert type(back) is DensityMatrix
+        assert back.entries.tobytes() == rho.entries.tobytes()
+        assert not back.entries.flags.writeable
+
+    def test_pickle_checks_the_copy_again(self):
+        psi = make_gghz(3, 0.4)
+        object.__setattr__(psi, "amplitudes", 2.0 * psi.amplitudes)
+        with pytest.raises(NormalizationError):
+            pickle.loads(pickle.dumps(psi))
+        rho = maximally_mixed(2)
+        object.__setattr__(rho, "entries", 2.0 * rho.entries)
+        with pytest.raises(DomainError):
+            pickle.loads(pickle.dumps(rho))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_pure_state_rejects_non_finite_amplitudes(self, bad):

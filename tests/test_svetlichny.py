@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from svl import (
     PureState,
     SvetlichnySettings,
     lagrange_max,
+    make_dicke,
     make_gghz,
     make_ms,
+    make_wclass,
     maximally_mixed,
     maximize_svetlichny,
     observable,
@@ -27,8 +30,8 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    MAX_RESTARTS, _coefficients, _cross, _grid_directions, _norm,
-    _operands, _seesaw, _starts,
+    MAX_RESTARTS, _coefficients, _cross, _exact_directions, _grid_directions,
+    _norm, _operands, _seesaw, _starts,
 )
 from svl.correlations import correlation_tensor
 
@@ -49,6 +52,11 @@ Z_DIR = BlochVector(0.0, 0.0)
 
 def ghz3():
     return to_density(make_gghz(3, math.pi / 4))
+
+
+def w3():
+    # Below its 4*lambda1, so only the see-saw maximizes it.
+    return to_density(make_dicke(3, 1))
 
 
 def optimal_ghz_settings():
@@ -232,7 +240,7 @@ class TestMaximize:
 
     def test_unconverged_flag(self, monkeypatch):
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 3)
-        best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=2))
+        best = maximize_svetlichny(w3(), OptimizerOptions(restarts=2))
         assert not best.converged
         assert best.value <= 4 * SQRT2 + 1e-9
 
@@ -277,7 +285,7 @@ class TestMaximize:
         assert best == maximize_svetlichny(ghz3(), OptimizerOptions(restarts=8, seed=3))
 
     def test_cold_and_warm_starts_agree(self):
-        rho = reduce_pure(make_ms(4, 1.0), (0, 1, 3))
+        rho = w3()
         opts = OptimizerOptions(restarts=8, seed=7)
         _starts.cache_clear()
         cold = maximize_svetlichny(rho, opts)
@@ -301,7 +309,9 @@ class TestMaximize:
     def test_stationary_restarts_skip_the_newton_step(self, monkeypatch):
         # Every see-saw sweep on a GGHZ reduction lands on directions whose
         # tangent gradient is exactly zero, so no Newton frame is built.
+        # The closed form, which would take the reduction, is declined.
         rho = reduce_pure(make_gghz(4, 0.3), (0, 1, 2))
+        monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -327,11 +337,92 @@ class TestMaximize:
         (np.diag([0.25] * 4 + [0.0] * 4), 0.0),
     ])
     def test_degenerate_states(self, entries, value):
+        # Each reaches its 4*lambda1 (0 for a zero tensor) in closed form.
         rho = DensityMatrix(3, entries.astype(complex))
         best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
         assert best.value == pytest.approx(value, abs=1e-12)
         assert best.converged
+        assert best.evaluations == 0
         assert np.all(np.isfinite(best.settings.angles()))
+
+
+def family_reductions():
+    """(family, reduction) for every distinct reduced matrix of GGHZ
+    (n = 3..5) and MS (n = 4..7) states over a theta grid, of Dicke
+    states (n = 3..6) and of the FIG4 slice (gamma = 0, 0.1, ..., 1)."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 7)[:-1] + 0.1
+    states = [("GGHZ", make_gghz(n, t)) for n in range(3, 6) for t in thetas]
+    states += [("MS", make_ms(n, t)) for n in range(4, 8) for t in thetas]
+    states += [("DICKE", make_dicke(n, m)) for n in range(3, 7) for m in range(n + 1)]
+    states += [("FIG4", make_wclass(0.0, 0.0, g, math.sqrt(max(1.0 - g * g, 0.0)), 0.0))
+               for g in np.linspace(0.0, 1.0, 11)]
+    seen = {}
+    for family, psi in states:
+        for keep in combinations(range(psi.num_qubits), 3):
+            rho = reduce_pure(psi, keep)
+            seen.setdefault((family, rho.entries.tobytes()), (family, rho))
+    return list(seen.values())
+
+
+def seesaw_only(rho, opts, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        return maximize_svetlichny(rho, opts)
+
+
+class TestExactPath:
+    def test_agrees_with_the_seesaw_and_takes_every_tight_reduction(self, monkeypatch):
+        opts = OptimizerOptions(restarts=16)
+        for family, rho in family_reductions():
+            best = maximize_svetlichny(rho, opts)
+            seesaw = seesaw_only(rho, opts, monkeypatch)
+            tight = abs(seesaw.value - svetlichny_upper_bound(rho)) <= 1e-9
+            assert abs(best.value - seesaw.value) <= 1e-9
+            assert (best.evaluations == 0) == tight
+            # Every GGHZ, MS and FIG4 reduction reaches its 4*lambda1.
+            assert tight or family == "DICKE"
+
+    @pytest.mark.parametrize("psi, keep", [
+        (make_gghz(3, math.pi / 4), (0, 1, 2)),
+        (make_gghz(4, 0.3), (0, 1, 2)),
+        (make_ms(4, 2.0), (0, 1, 2)),
+        (make_ms(4, 2.0), (0, 1, 3)),
+        (make_ms(6, 4.0), (1, 3, 5)),
+        (make_dicke(4, 0), (0, 1, 2)),
+        (make_wclass(0.0, 0.0, 0.7, math.sqrt(0.51), 0.0), (0, 2, 3)),
+    ])
+    def test_reaches_the_grid_oracle(self, psi, keep):
+        rho = reduce_pure(psi, keep)
+        best = maximize_svetlichny(rho, OptimizerOptions(restarts=1))
+        assert best.evaluations == 0
+        assert best.value >= svetlichny_grid_search(rho, math.pi / 8) - 1e-9
+        assert abs(best.value - svetlichny_upper_bound(rho)) <= 1e-12
+        assert best.value == svetlichny_value(rho, best.settings)
+
+    def test_never_taken_below_the_certificate(self, rng):
+        states = [w3()] + [DensityMatrix(3, random_density_entries(3, rng))
+                           for _ in range(20)]
+        for rho in states:
+            tensor = correlation_tensor(rho)
+            upper = svetlichny_upper_bound(rho)
+            assert _exact_directions(tensor, upper) is None
+            best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
+            assert best.evaluations > 0
+            assert best.value < upper - 1e-9
+
+    def test_independent_of_restarts_and_seed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exact path drew starts")
+
+        monkeypatch.setattr("svl.svetlichny._starts", refuse)
+        for rho in (ghz3(), reduce_pure(make_ms(5, 2.5), (0, 2, 4))):
+            results = [maximize_svetlichny(rho, OptimizerOptions(restarts=r, seed=s))
+                       for r, s in ((1, 0), (8, 7), (64, 42), (MAX_RESTARTS, 12345))]
+            for best in results:
+                assert (best.converged, best.evaluations) == (True, 0)
+                assert best.value == results[0].value
+                assert (best.settings.angles().tobytes()
+                        == results[0].settings.angles().tobytes())
 
 
 class TestGridSearch:

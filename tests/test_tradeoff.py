@@ -24,6 +24,7 @@ from svl import (
     bound_wclass_sum_squares,
     bound_wclass_sum_squares_spectral,
     correlation_tensor,
+    make_ms,
     make_wclass,
     maximize_svetlichny,
     reduce_pure,
@@ -139,6 +140,43 @@ class TestMsBounds:
         assert bound_ms_sum_n(6, 0.0) == pytest.approx(40 * SQRT2 + 40.0)
         with pytest.raises(InvalidArityError):
             bound_ms_sum_n(3, 0.0)
+
+    def test_n_qubit_corrected_values(self):
+        assert bound_ms_sum_n(4, 0.0, "corrected") == pytest.approx(12.0 + 4 * SQRT2)
+        assert bound_ms_sum_n(6, math.pi, "corrected") == pytest.approx(40.0)
+        assert bound_ms_sum_n(8, math.pi / 2, "corrected") == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(DomainError):
+            bound_ms_sum_n(5, 0.0, "fixed")
+
+    def test_corrected_n_qubit_reading_is_the_maximized_sum(self):
+        # In the style of acceptance criterion 05: every MS reduction
+        # reaches its 4*lambda1 (in closed form), the corrected reading
+        # equals the maximized sum and, at n = 4, the corrected four-qubit
+        # bound.  The printed reading is exceeded exactly where
+        # |cos t + sin t| < 3 - 2 sqrt(2) at n = 4, and for n >= 5 holds
+        # with at least sqrt(2) times the sum.
+        flagged, predicted = [], []
+        for n in range(4, 9):
+            for theta in np.linspace(0.0, 2 * math.pi, 41):
+                psi = make_ms(n, theta)
+                maxima = [maximize_svetlichny(reduce_pure(psi, keep), FAST)
+                          for keep in combinations(range(n), 3)]
+                total = sum(best.value for best in maxima)
+                corrected = bound_ms_sum_n(n, theta, "corrected")
+                verbatim = bound_ms_sum_n(n, theta)
+                assert all(best.evaluations == 0 for best in maxima)
+                assert abs(total - corrected) <= 1e-9
+                if n == 4:
+                    assert corrected == pytest.approx(bound_ms_sum(theta, "corrected"),
+                                                      abs=1e-12)
+                    if abs(math.cos(theta) + math.sin(theta)) < 3 - 2 * SQRT2:
+                        predicted.append(theta)
+                else:
+                    assert verbatim >= SQRT2 * total - 1e-9
+                if total > verbatim + 1e-9:
+                    flagged.append(theta)
+        assert flagged == predicted
+        assert len(flagged) == 2  # 3 pi/4 and 7 pi/4 on this grid
 
 
 @pytest.mark.parametrize("bound", [
@@ -401,6 +439,15 @@ class TestVerifyTradeoff:
         with pytest.raises(InvalidArityError):
             verify_tradeoff(spec, "theorem1", FAST)
 
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_corollary2_corrected_reading_is_attained(self, n):
+        spec = StateSpec("MS", n, {"theta": 2.0})
+        report = verify_tradeoff(spec, "corollary2", FAST, variant="corrected")
+        assert report.variant == "corrected"
+        assert report.rhs == bound_ms_sum_n(n, 2.0, "corrected")
+        assert report.lhs == pytest.approx(report.rhs, abs=1e-9)
+        assert report.satisfied
+
     def test_unknown_bound_rejected(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
         with pytest.raises(DomainError):
@@ -409,7 +456,6 @@ class TestVerifyTradeoff:
     @pytest.mark.parametrize("bound, spec", [
         ("theorem1", StateSpec("GGHZ", 4, {"theta": 0.3})),
         ("corollary1", StateSpec("GGHZ", 5, {"theta": 0.3})),
-        ("corollary2", StateSpec("MS", 5, {"theta": 2.0})),
         ("eqn3p", StateSpec("WCLASS", 4, {"alpha": 0.6, "beta": 0.0, "gamma": 0.0,
                                           "delta": 0.8, "lambda": 0.0})),
     ])
