@@ -9,6 +9,7 @@ convention to a loop oracle and to the known GHZ value 4*sqrt(2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,13 @@ class CorrelationTensor3:
             raise DomainError("correlation tensor entries must lie in [-1, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
+
+    @functools.cached_property
+    def _upper_bound(self) -> float:
+        """4 * lambda_1, computed once per tensor: the one formula of
+        svetlichny_upper_bound and of the certificate maximize_svetlichny's
+        exact path must reach."""
+        return 4.0 * largest_singular_value(flatten_correlation_tensor(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +111,11 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
     _tensor_table and summed in row order.  The phases are exactly +-1 or
     +-i, so every product is exact and the sum matches the 4-operand
     einsum over rho and three Pauli matrices bit for bit.  The last tensor
-    is kept with the read-only entries it came from (_last), so the calls
-    of one reduction, and all keeps of one symmetry class, build it once.
+    is kept with the read-only entries it came from (_last), matched by
+    identity, so the calls of one reduction, and all keeps of one symmetry
+    class taken in a row, build it once.  Its 4*lambda1
+    (CorrelationTensor3._upper_bound) and maximize_svetlichny's closed
+    form (svetlichny._closed) are kept with it, so they are paid once too.
     """
     global _last
     if rho.num_qubits != 3:
@@ -142,15 +153,9 @@ def largest_singular_value(mat: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def _upper_bound(tensor: CorrelationTensor3) -> float:
-    """4 * lambda_1 of the tensor: the one formula of svetlichny_upper_bound
-    and of the certificate maximize_svetlichny's exact path must reach."""
-    return 4.0 * largest_singular_value(flatten_correlation_tensor(tensor))
-
-
 def svetlichny_upper_bound(rho: DensityMatrix) -> float:
     """Settings-independent bound 4 * lambda_1 on the Svetlichny value."""
-    return _upper_bound(correlation_tensor(rho))
+    return correlation_tensor(rho)._upper_bound
 
 
 def chsh_max(rho: DensityMatrix) -> float:

@@ -13,6 +13,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping
 
@@ -339,6 +340,21 @@ def _representative(kept: tuple[int, ...], start: tuple[int, ...]) -> tuple[int,
     for q in kept:
         rep.append(rep[-1] + 1 if rep and rep[-1] >= start[q] else start[q])
     return tuple(rep)
+
+
+def _keeps_by_class(psi: PureState) -> list[tuple[int, ...]]:
+    """Every three-qubit keep of psi, one symmetry class after another:
+    classes in the order of their first keep, each in combinations order.
+
+    Taken in this order, the one-entry memos downstream of reduce_pure
+    (correlation_tensor's and maximize_svetlichny's) hit on every keep of
+    a class after its first.
+    """
+    start = psi._classes[0]
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for keep in combinations(range(psi.num_qubits), 3):
+        classes.setdefault(_representative(keep, start), []).append(keep)
+    return [keep for keeps in classes.values() for keep in keeps]
 
 
 _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import PAULIS, _upper_bound, correlation_tensor, flatten_correlation_tensor
+from .correlations import PAULIS, CorrelationTensor3, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
 from .qstate import DensityMatrix, _bounded_int, _finite
 
@@ -112,11 +112,29 @@ def svetlichny_operator(s: SvetlichnySettings) -> np.ndarray:
             + _kron3(Ap, dp, C) - _kron3(Ap, d, Cp))
 
 
+# S in the four terms of the module docstring, with D = B + B' and
+# D' = B - B': the sum over x, w, z of _TERMS[x, w, z] X_x W_w Z_z, where
+# index 1 picks A', D' and C'.
+_TERMS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]])
+
+
 def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
-    """Expectation Tr(S rho); always within [-4*sqrt(2), 4*sqrt(2)]."""
+    """Expectation Tr(S rho); always within [-4*sqrt(2), 4*sqrt(2)].
+
+    One contraction of _TERMS, the observables of a, a', b + b', b - b',
+    c, c' and rho as rho[d, e, f, a, b, c] (row def, column abc), since
+    Tr(A x D x C rho) sums A[a, d] D[b, e] C[c, f] rho[d, e, f, a, b, c].
+    It builds neither the 8x8 operator nor the correlation tensor, so it
+    stays an independent check of the tensor's route.  Where b = b' (case
+    A of _exact_directions), D' is exactly zero, as in
+    svetlichny_operator.
+    """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    val = complex(np.trace(svetlichny_operator(s) @ rho.entries))
+    a, ap, b, bp, c, cp = (v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p))
+    obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
+    val = complex(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *obs.reshape(3, 2, 2, 2),
+                            rho.entries.reshape((2,) * 6)))
     if abs(val.imag) > 1e-10:
         raise DomainError(f"expectation has imaginary residue {val.imag!r}")
     return val.real
@@ -447,6 +465,24 @@ def _settings(v: np.ndarray) -> SvetlichnySettings:
     return SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v))
 
 
+# The last tensor _closed_form took, with its settings (None: declined).
+_closed: tuple[CorrelationTensor3 | None, SvetlichnySettings | None] = (None, None)
+
+
+def _closed_form(tensor: CorrelationTensor3) -> SvetlichnySettings | None:
+    """The settings of _exact_directions on the tensor, or None; kept with
+    the tensor (_closed), matched by identity like correlation_tensor's
+    _last, so the keeps of one symmetry class taken in a row build them
+    once."""
+    global _closed
+    last, settings = _closed
+    if last is not tensor:
+        v = _exact_directions(tensor, tensor._upper_bound)
+        settings = None if v is None else _settings(v)
+        _closed = tensor, settings
+    return settings
+
+
 def maximize_svetlichny(rho: DensityMatrix,
                         opts: OptimizerOptions | None = None) -> SvetlichnyMaximum:
     """Maximize Tr(S rho) over all settings: in closed form where the
@@ -458,7 +494,10 @@ def maximize_svetlichny(rho: DensityMatrix,
     from the top singular vectors of its flattening.  They are accepted
     if svetlichny_value on them is within _EXACT_TOL of 4*lambda1, which
     proves them optimal; the result then reads converged True and
-    evaluations 0, and does not depend on opts (no start is drawn).
+    evaluations 0, and does not depend on opts (no start is drawn).  The
+    settings (or their refusal) and 4*lambda1 are kept with the tensor
+    (_closed_form), so a later keep of the same symmetry class pays only
+    the svetlichny_value check, which every call runs.
 
     See-saw: the value is linear in each party's pair of settings, so
     for fixed other settings the best pair is the normalized pair of
@@ -471,15 +510,15 @@ def maximize_svetlichny(rho: DensityMatrix,
     the restart budget keeps the earlier restarts unchanged.
     evaluations counts sweeps over all restarts.  If the best restart
     used all _MAX_SWEEPS sweeps without converging, its value is still
-    returned with converged set to False.
+    returned with converged set to False.  See-saw results are not kept:
+    each call runs it afresh.
     """
     if opts is None:
         opts = OptimizerOptions()
     tensor = correlation_tensor(rho)
-    bound = _upper_bound(tensor)
-    v = _exact_directions(tensor, bound)
-    if v is not None:
-        settings = _settings(v)
+    bound = tensor._upper_bound
+    settings = _closed_form(tensor)
+    if settings is not None:
         value = svetlichny_value(rho, settings)
         if abs(value - bound) <= _EXACT_TOL:
             return SvetlichnyMaximum(value=value, settings=settings, converged=True,

@@ -126,3 +126,20 @@ def random_density_entries(n, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)
+
+
+@pytest.fixture
+def closed_form_runs(monkeypatch):
+    """The tensors maximize_svetlichny's closed form is built for, and the
+    flattenings whose largest singular value is taken, in call order."""
+    import svl.correlations as correlations
+    import svl.svetlichny as svetlichny
+
+    exact, singular = [], []
+    directions = svetlichny._exact_directions
+    largest = correlations.largest_singular_value
+    monkeypatch.setattr(svetlichny, "_exact_directions",
+                        lambda tensor, bound: exact.append(tensor) or directions(tensor, bound))
+    monkeypatch.setattr(correlations, "largest_singular_value",
+                        lambda mat: singular.append(mat) or largest(mat))
+    return exact, singular

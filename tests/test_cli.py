@@ -398,6 +398,7 @@ class TestFigureVerb:
         # Every FIG4 reduction is maximized in closed form; declining it
         # leaves them to the see-saw.
         monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        monkeypatch.setattr("svl.svetlichny._closed", (None, None))
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 1)
         argv = ["figure", "FIG4", "--points", "2", "--restarts", "1"]
         code, out, _ = run_cli(capsys, *argv)

@@ -143,6 +143,21 @@ class TestValue:
             assert svetlichny_value(rho, s) == pytest.approx(want, abs=1e-10)
             assert abs(svetlichny_value(rho, s)) <= 4 * SQRT2 + 1e-9
 
+    def test_matches_the_operator_in_the_last_bits(self, rng):
+        for _ in range(50):
+            rho = DensityMatrix(3, random_density_entries(3, rng))
+            s = random_settings(rng)
+            want = np.trace(svetlichny_operator(s) @ rho.entries).real
+            assert abs(svetlichny_value(rho, s) - want) <= 4e-15
+
+    def test_classical_mixture_reads_exactly_zero_in_closed_form(self):
+        # (|000><000| + |111><111|)/2 has a zero triple tensor, and its
+        # case-A settings have b = b', so D' = B - B' is exactly zero.
+        rho = reduce_pure(make_ms(5, 2.0), (0, 1, 2))
+        best = maximize_svetlichny(rho, OptimizerOptions(restarts=1))
+        assert best.settings.b == best.settings.b_p
+        assert best.value == 0.0
+
     def test_tensor_fast_path_agrees(self, rng):
         # The see-saw's value of a party's best pair, |g| + |h| on fixed
         # settings, against the 8x8 operator with that pair put in.
@@ -312,6 +327,7 @@ class TestMaximize:
         # The closed form, which would take the reduction, is declined.
         rho = reduce_pure(make_gghz(4, 0.3), (0, 1, 2))
         monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        monkeypatch.setattr("svl.svetlichny._closed", (None, None))
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -365,8 +381,10 @@ def family_reductions():
 
 
 def seesaw_only(rho, opts, monkeypatch):
+    # The closed form kept from an earlier call on rho is dropped too.
     with monkeypatch.context() as patch:
         patch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        patch.setattr("svl.svetlichny._closed", (None, None))
         return maximize_svetlichny(rho, opts)
 
 
@@ -376,6 +394,7 @@ class TestExactPath:
         for family, rho in family_reductions():
             best = maximize_svetlichny(rho, opts)
             seesaw = seesaw_only(rho, opts, monkeypatch)
+            assert seesaw.evaluations > 0
             tight = abs(seesaw.value - svetlichny_upper_bound(rho)) <= 1e-9
             assert abs(best.value - seesaw.value) <= 1e-9
             assert (best.evaluations == 0) == tight
@@ -423,6 +442,54 @@ class TestExactPath:
                 assert best.value == results[0].value
                 assert (best.settings.angles().tobytes()
                         == results[0].settings.angles().tobytes())
+
+
+class TestClosedFormMemo:
+    def test_twin_matrix_gets_its_own_tensor_bound_and_settings(self, closed_form_runs):
+        exact, singular = closed_form_runs
+        opts = OptimizerOptions(restarts=8)
+        rho = reduce_pure(make_ms(5, 2.0), (0, 1, 4))
+        twin = DensityMatrix(3, rho.entries.copy())
+        tensor = correlation_tensor(rho)
+        first = maximize_svetlichny(rho, opts)
+        bound = svetlichny_upper_bound(rho)
+        assert correlation_tensor(rho) is tensor
+        twin_tensor = correlation_tensor(twin)
+        second = maximize_svetlichny(twin, opts)
+        assert svetlichny_upper_bound(twin) == bound
+        assert twin_tensor is not tensor
+        assert twin_tensor.m.tobytes() == tensor.m.tobytes()
+        assert exact == [tensor, twin_tensor]
+        assert len(singular) == 2
+        assert second.settings is not first.settings
+        assert second == first
+        assert second.settings.angles().tobytes() == first.settings.angles().tobytes()
+        assert first.evaluations == 0
+
+    def test_alternating_classes_never_swap_settings(self, monkeypatch):
+        # The two classes of MS(7): keeps without and with the last qubit.
+        opts = OptimizerOptions(restarts=8)
+        psi = make_ms(7, 2.0)
+        rhos = [reduce_pure(psi, (0, 1, 2)), reduce_pure(psi, (0, 1, 6))]
+        fresh = []
+        for rho in rhos:
+            monkeypatch.setattr("svl.svetlichny._closed", (None, None))
+            fresh.append(maximize_svetlichny(DensityMatrix(3, rho.entries.copy()), opts))
+        assert fresh[0].settings != fresh[1].settings
+        for _ in range(3):
+            for rho, want in zip(rhos, fresh):
+                best = maximize_svetlichny(rho, opts)
+                assert best == want
+                assert best.evaluations == 0
+                assert best.settings.angles().tobytes() == want.settings.angles().tobytes()
+
+    def test_every_hit_is_checked_through_svetlichny_value(self, monkeypatch):
+        # A refused check on a kept closed form sends the call to the see-saw.
+        opts = OptimizerOptions(restarts=8)
+        rho = reduce_pure(make_gghz(5, 0.3), (0, 1, 2))
+        assert maximize_svetlichny(rho, opts).evaluations == 0
+        monkeypatch.setattr("svl.svetlichny.svetlichny_value", lambda rho, s: 0.0)
+        assert maximize_svetlichny(rho, opts).evaluations > 0
 
 
 class TestGridSearch:

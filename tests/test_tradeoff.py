@@ -29,12 +29,17 @@ from svl import (
     maximize_svetlichny,
     reduce_pure,
     svetlichny_grid_search,
+    svetlichny_upper_bound,
     sweep_figure,
     verify_tradeoff,
 )
 
 SQRT2 = math.sqrt(2.0)
 FAST = OptimizerOptions(restarts=8)
+# A W-class state with four distinct reductions.
+_W = np.random.default_rng(7).normal(size=5)
+RANDOM_WCLASS = {"family": "WCLASS", **dict(zip(
+    ("alpha", "beta", "gamma", "delta", "lambda"), (_W / np.linalg.norm(_W)).tolist()))}
 
 
 def second_reading_sum_bound(a, b, g, d, l):
@@ -467,6 +472,46 @@ class TestVerifyTradeoff:
         spec = StateSpec("MS", 4, {"theta": 2.0})
         with pytest.raises(DomainError):
             verify_tradeoff(spec, "theorem2", FAST, variant="symmetric")
+
+    @pytest.mark.parametrize("data, bound, classes", [
+        ({"family": "GGHZ", "n": 6, "theta": 0.7}, "corollary1", 1),
+        ({"family": "MS", "n": 7, "theta": 2.0}, "corollary2", 2),
+        (RANDOM_WCLASS, "theorem3", 4),
+    ])
+    def test_each_class_pays_once_for_its_closed_form_and_bound(
+            self, data, bound, classes, closed_form_runs):
+        exact, singular = closed_form_runs
+        verify_tradeoff(StateSpec.from_dict(data), bound, FAST)
+        assert len(exact) == classes
+        assert len(singular) == classes
+
+    @pytest.mark.parametrize("data, bound, variant", [
+        ({"family": "MS", "n": 7, "theta": 2.0}, "corollary2", "verbatim"),
+        ({"family": "MS", "n": 7, "theta": 2.0}, "corollary2", "corrected"),
+        ({"family": "GGHZ", "n": 6, "theta": 0.7}, "corollary1", "verbatim"),
+        (RANDOM_WCLASS, "theorem3", "verbatim"),
+    ])
+    def test_class_walk_matches_combinations_order_bytewise(
+            self, data, bound, variant, monkeypatch):
+        got = verify_tradeoff(StateSpec.from_dict(data), bound, FAST, variant)
+        # The reference maximizes the keeps in combinations order on a
+        # fresh state, with the one-entry memos dropped before each keep.
+        spec = StateSpec.from_dict(data)
+        psi = spec.to_pure()
+        rows = []
+        for keep in combinations(range(spec.num_qubits), 3):
+            monkeypatch.setattr("svl.correlations._last", (None, None))
+            monkeypatch.setattr("svl.svetlichny._closed", (None, None))
+            rho = reduce_pure(psi, keep)
+            best = maximize_svetlichny(rho, FAST)
+            rows.append(tradeoff.ReductionResult(
+                keep, best.value, svetlichny_upper_bound(rho), best.converged))
+        lhs = sum(r.value for r in rows)
+        rhs = tradeoff._BOUND_RULES[bound].rhs(spec, variant)
+        want = tradeoff.TradeoffReport(
+            spec.family, dict(spec.params), bound, "sum", variant, tuple(rows), lhs, rhs,
+            lhs <= rhs + tradeoff.SATISFIED_TOL, rhs - lhs, all(r.converged for r in rows))
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
     def test_report_round_trips_to_json(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
