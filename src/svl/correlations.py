@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _memo
 
 __all__ = [
     "PAULIS",
@@ -101,32 +101,32 @@ def _tensor_table() -> tuple[np.ndarray, np.ndarray]:
 _GATHER, _PHASE = _tensor_table()
 
 
-_last: tuple[np.ndarray | None, CorrelationTensor3 | None] = (None, None)
-
-
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
     """All 27 values Tr(rho sigma_i x sigma_j x sigma_k).
 
     Each value is a sum of 8 phased entries of rho, gathered by
     _tensor_table and summed in row order.  The phases are exactly +-1 or
     +-i, so every product is exact and the sum matches the 4-operand
-    einsum over rho and three Pauli matrices bit for bit.  The last tensor
-    is kept with the read-only entries it came from (_last), matched by
-    identity, so the calls of one reduction, and all keeps of one symmetry
-    class taken in a row, build it once.  Its 4*lambda1
-    (CorrelationTensor3._upper_bound) and maximize_svetlichny's closed
-    form (svetlichny._closed) are kept with it, so they are paid once too.
+    einsum over rho and three Pauli matrices bit for bit.  The tensor is
+    kept in the memo of rho's entries (qstate._memo), so every call on
+    the same checked array, from any DensityMatrix and in any order,
+    returns the one tensor; all keeps of a symmetry class share it.  Its
+    4*lambda1 (CorrelationTensor3._upper_bound) and maximize_svetlichny's
+    closed form (svetlichny._closed_form) are kept with it, so they are
+    paid once per matrix too.  Entries without a memo (a view of another
+    array) get a new tensor on every call.
     """
-    global _last
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    entries, tensor = _last
-    if entries is not rho.entries:
+    memo = _memo(rho.entries)
+    tensor = None if memo is None else memo.get("tensor")
+    if tensor is None:
         m = (rho.entries.ravel()[_GATHER] * _PHASE).sum(axis=0).reshape(3, 3, 3)
         if np.abs(m.imag).max() > _IMAG_TOL:
             raise DomainError("correlation tensor has a non-real entry")
         tensor = CorrelationTensor3(m.real)
-        _last = rho.entries, tensor
+        if memo is not None:
+            memo["tensor"] = tensor
     return tensor
 
 

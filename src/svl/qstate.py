@@ -12,8 +12,8 @@ import functools
 import math
 import numbers
 import operator
+import weakref
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping
 
@@ -115,7 +115,18 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
+
+    The entries are stored read-only: a contiguous complex array given as
+    entries is frozen in place, anything else is copied first.  An array
+    that owns its data gets a memo (_memo) once it passes the full checks,
+    and a later DensityMatrix on that same array, still read-only, checks
+    only the qubit count and the shape: the finiteness, Hermiticity, trace
+    and eigenvalue checks are skipped.  A copy, a view, or an array made
+    writeable again is checked in full.  Writing to a checked array (after
+    setflags(write=True), or through a writeable view taken before it was
+    frozen) and freezing it again is unsupported.
+    """
 
     num_qubits: int
     entries: np.ndarray
@@ -130,22 +141,56 @@ class DensityMatrix:
                 f"expected a {dim}x{dim} matrix for {self.num_qubits} qubits, "
                 f"got shape {mat.shape}"
             )
-        if not np.isfinite(mat).all():
-            raise DomainError("matrix has a non-finite entry")
-        # Written as "not (err <= tol)" so that NaN fails every check.
-        if not np.abs(mat - mat.conj().T).max() <= STRUCTURAL_TOL:
-            raise DomainError("matrix is not Hermitian within tolerance")
-        trace = complex(mat.trace())
-        if not (abs(trace.real - 1.0) <= STRUCTURAL_TOL and abs(trace.imag) <= STRUCTURAL_TOL):
-            raise DomainError(f"trace is {trace!r}, expected 1")
-        if dim <= PSD_CHECK_MAX_DIM:
-            if not np.linalg.eigvalsh(mat)[0] >= -PSD_TOL:
-                raise DomainError("matrix has a negative eigenvalue beyond tolerance")
-        object.__setattr__(self, "entries", _freeze(mat))
+        if _memo(mat) is None:
+            _check_density(mat)
+            _freeze(mat)
+            # A view can change through its base, so only an array that
+            # owns its data is known by its identity.
+            if mat.base is None:
+                key = id(mat)
+                _MEMOS[key] = weakref.ref(mat), {}
+                weakref.finalize(mat, _MEMOS.pop, key, None).atexit = False
+        object.__setattr__(self, "entries", mat)
 
     def __reduce__(self):
         # As for PureState: unpickling checks and freezes the copy again.
         return type(self), (self.num_qubits, self.entries)
+
+
+def _check_density(mat: np.ndarray) -> None:
+    """DomainError unless the square matrix is finite, Hermitian, of unit
+    trace and (up to PSD_CHECK_MAX_DIM) positive semidefinite."""
+    if not np.isfinite(mat).all():
+        raise DomainError("matrix has a non-finite entry")
+    # Written as "not (err <= tol)" so that NaN fails every check.
+    if not np.abs(mat - mat.conj().T).max() <= STRUCTURAL_TOL:
+        raise DomainError("matrix is not Hermitian within tolerance")
+    trace = complex(mat.trace())
+    if not (abs(trace.real - 1.0) <= STRUCTURAL_TOL and abs(trace.imag) <= STRUCTURAL_TOL):
+        raise DomainError(f"trace is {trace!r}, expected 1")
+    if len(mat) <= PSD_CHECK_MAX_DIM:
+        if not np.linalg.eigvalsh(mat)[0] >= -PSD_TOL:
+            raise DomainError("matrix has a negative eigenvalue beyond tolerance")
+
+
+# id(entries) -> (weak reference to entries, memo) for every array that
+# owns its data and passed DensityMatrix's full checks.  The weak
+# reference confirms the id, and a finalizer drops the entry when the
+# array is collected, so the memo never keeps a matrix alive.
+_MEMOS: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def _memo(entries: np.ndarray) -> dict | None:
+    """The memo of a checked array that is still read-only, else None.
+
+    Values derived from the matrix alone are kept in it by the layers
+    above (correlation_tensor keeps its tensor under "tensor"), so each
+    distinct matrix pays for them once, in any order of calls.
+    """
+    found = _MEMOS.get(id(entries))
+    if found is None or found[0]() is not entries or entries.flags.writeable:
+        return None
+    return found[1]
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -260,7 +305,11 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     qubits that leaves psi unchanged give the same matrix, so each such
     class of keeps of at most three qubits is reduced once, on its
     representative; the symmetry is found on a state's first reduction,
-    and the state keeps it and the matrices (PureState._classes).
+    and the state keeps it and the matrices (PureState._classes).  Each
+    call returns a new DensityMatrix, but the keeps of a class share its
+    read-only entries, which pass the full checks on the class's first
+    keep only: later keeps, in any order, check the shape alone and share
+    the matrix's memo (_memo), so its tensor too.
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
@@ -340,21 +389,6 @@ def _representative(kept: tuple[int, ...], start: tuple[int, ...]) -> tuple[int,
     for q in kept:
         rep.append(rep[-1] + 1 if rep and rep[-1] >= start[q] else start[q])
     return tuple(rep)
-
-
-def _keeps_by_class(psi: PureState) -> list[tuple[int, ...]]:
-    """Every three-qubit keep of psi, one symmetry class after another:
-    classes in the order of their first keep, each in combinations order.
-
-    Taken in this order, the one-entry memos downstream of reduce_pure
-    (correlation_tensor's and maximize_svetlichny's) hit on every keep of
-    a class after its first.
-    """
-    start = psi._classes[0]
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for keep in combinations(range(psi.num_qubits), 3):
-        classes.setdefault(_representative(keep, start), []).append(keep)
-    return [keep for keeps in classes.values() for keep in keeps]
 
 
 _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,18 @@ class SvetlichnySettings:
                                (self.a, self.a_p, self.b, self.b_p, self.c, self.c_p))
         }
 
+    @functools.cached_property
+    def _observables(self) -> np.ndarray:
+        """The observables of a, a', b + b', b - b', c and c' that
+        svetlichny_value contracts, as three read-only (2, 2, 2) pairs:
+        built once per settings, so a kept closed form reuses them."""
+        a, ap, b, bp, c, cp = (v.cartesian for v in (self.a, self.a_p, self.b,
+                                                     self.b_p, self.c, self.c_p))
+        obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
+        obs = obs.reshape(3, 2, 2, 2)
+        obs.setflags(write=False)
+        return obs
+
 
 def observable(v: BlochVector) -> np.ndarray:
     """Traceless Hermitian 2x2 matrix v . sigma with eigenvalues +-1."""
@@ -122,7 +135,8 @@ def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
     """Expectation Tr(S rho); always within [-4*sqrt(2), 4*sqrt(2)].
 
     One contraction of _TERMS, the observables of a, a', b + b', b - b',
-    c, c' and rho as rho[d, e, f, a, b, c] (row def, column abc), since
+    c, c' (built once per settings, SvetlichnySettings._observables) and
+    rho as rho[d, e, f, a, b, c] (row def, column abc), since
     Tr(A x D x C rho) sums A[a, d] D[b, e] C[c, f] rho[d, e, f, a, b, c].
     It builds neither the 8x8 operator nor the correlation tensor, so it
     stays an independent check of the tensor's route.  Where b = b' (case
@@ -131,9 +145,7 @@ def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    a, ap, b, bp, c, cp = (v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p))
-    obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
-    val = complex(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *obs.reshape(3, 2, 2, 2),
+    val = complex(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *s._observables,
                             rho.entries.reshape((2,) * 6)))
     if abs(val.imag) > 1e-10:
         raise DomainError(f"expectation has imaginary residue {val.imag!r}")
@@ -465,22 +477,21 @@ def _settings(v: np.ndarray) -> SvetlichnySettings:
     return SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v))
 
 
-# The last tensor _closed_form took, with its settings (None: declined).
-_closed: tuple[CorrelationTensor3 | None, SvetlichnySettings | None] = (None, None)
+# The settings _closed_form built for each live tensor (None: declined),
+# dropped with the tensor.
+_CLOSED_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _closed_form(tensor: CorrelationTensor3) -> SvetlichnySettings | None:
     """The settings of _exact_directions on the tensor, or None; kept with
-    the tensor (_closed), matched by identity like correlation_tensor's
-    _last, so the keeps of one symmetry class taken in a row build them
-    once."""
-    global _closed
-    last, settings = _closed
-    if last is not tensor:
+    the tensor (_CLOSED_FORMS), which correlation_tensor keeps with its
+    matrix, so each distinct matrix builds them once."""
+    try:
+        return _CLOSED_FORMS[tensor]
+    except KeyError:
         v = _exact_directions(tensor, tensor._upper_bound)
-        settings = None if v is None else _settings(v)
-        _closed = tensor, settings
-    return settings
+        settings = _CLOSED_FORMS[tensor] = None if v is None else _settings(v)
+        return settings
 
 
 def maximize_svetlichny(rho: DensityMatrix,
@@ -496,8 +507,10 @@ def maximize_svetlichny(rho: DensityMatrix,
     proves them optimal; the result then reads converged True and
     evaluations 0, and does not depend on opts (no start is drawn).  The
     settings (or their refusal) and 4*lambda1 are kept with the tensor
-    (_closed_form), so a later keep of the same symmetry class pays only
-    the svetlichny_value check, which every call runs.
+    (_closed_form), which correlation_tensor keeps with the matrix, so a
+    later call on the same entries (any later keep of the same symmetry
+    class, in any order) pays only the svetlichny_value check, which
+    every call runs.
 
     See-saw: the value is linear in each party's pair of settings, so
     for fixed other settings the best pair is the normalized pair of

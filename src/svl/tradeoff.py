@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Callable, Mapping
 
@@ -29,7 +30,7 @@ import numpy as np
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError
 from .qstate import (MAX_QUBITS, _WCLASS_KEYS, StateSpec, _bounded_int, _finite,
-                     _keeps_by_class, _normalized, reduce_pure)
+                     _normalized, reduce_pure)
 from .svetlichny import OptimizerOptions, maximize_svetlichny
 
 __all__ = [
@@ -346,10 +347,11 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     The aggregation mode (sum versus sum of squares) is fixed per bound
     and reported as the report's mode.  A variant the bound has no
     reading for raises DomainError.  Optimizer non-convergence is flagged
-    on the report, not raised.  The reductions are maximized one symmetry
-    class at a time (qstate._keeps_by_class), so each class pays once for
-    its tensor, its 4*lambda1 and its closed-form settings; the report
-    lists them in combinations order.
+    on the report, not raised.  The reductions are maximized and listed
+    in combinations order.  The keeps of one symmetry class share one
+    read-only matrix, checked in full once, with its tensor, 4*lambda1
+    and closed-form settings (qstate._memo), so a later keep of a tight
+    class pays only its shape check and the svetlichny_value check.
     """
     if bound not in _BOUND_RULES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
@@ -364,7 +366,7 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     rhs = rule.rhs(spec, variant)
     psi = spec.to_pure()
     results = []
-    for keep in _keeps_by_class(psi):
+    for keep in combinations(range(psi.num_qubits), 3):
         rho = reduce_pure(psi, keep)
         best = maximize_svetlichny(rho, opts)
         results.append(ReductionResult(
@@ -373,7 +375,6 @@ def verify_tradeoff(spec: StateSpec, bound: str,
             upper_bound=svetlichny_upper_bound(rho),
             converged=best.converged,
         ))
-    results.sort(key=lambda r: r.keep)
     if rule.mode == "sum":
         lhs = sum(r.value for r in results)
     else:

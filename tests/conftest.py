@@ -6,6 +6,7 @@ built from scratch so that agreement with the package is meaningful.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +127,15 @@ def random_density_entries(n, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)
+
+
+def drop_memos(monkeypatch):
+    """Start every matrix's memo (svl.qstate._MEMOS) and the kept closed
+    forms (svl.svetlichny._CLOSED_FORMS) afresh, until monkeypatch undoes
+    it: the next DensityMatrix on any array is checked in full and gets a
+    new tensor and a new closed form."""
+    monkeypatch.setattr("svl.qstate._MEMOS", {})
+    monkeypatch.setattr("svl.svetlichny._CLOSED_FORMS", weakref.WeakKeyDictionary())
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ import pytest
 from svl import bound_ms_sum, bound_ms_sum_n
 from svl.cli import main
 
+from conftest import drop_memos
+
 GHZ3 = '{"family":"GGHZ","n":3,"theta":0.7853981633974483}'
 GGHZ4 = '{"family":"GGHZ","n":4,"theta":0.0}'
 # The W state stays below its 4*lambda1, so only the see-saw maximizes it.
@@ -398,7 +400,7 @@ class TestFigureVerb:
         # Every FIG4 reduction is maximized in closed form; declining it
         # leaves them to the see-saw.
         monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
-        monkeypatch.setattr("svl.svetlichny._closed", (None, None))
+        drop_memos(monkeypatch)
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 1)
         argv = ["figure", "FIG4", "--points", "2", "--restarts", "1"]
         code, out, _ = run_cli(capsys, *argv)

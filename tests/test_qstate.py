@@ -20,6 +20,7 @@ from svl import (
     NormalizationError,
     PureState,
     StateSpec,
+    correlation_tensor,
     make_dicke,
     make_gghz,
     make_ms,
@@ -34,6 +35,7 @@ from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
 
 from conftest import (
     oracle_reduce_pure,
+    random_density_entries,
     random_pure,
 )
 
@@ -273,6 +275,110 @@ class TestDensity:
     def test_pure_state_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(NormalizationError):
             PureState(1, np.array([bad, 0.0]))
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The matrices DensityMatrix runs its full checks on, in call order."""
+    checked = []
+    check = qstate._check_density
+    monkeypatch.setattr(qstate, "_check_density",
+                        lambda mat: checked.append(mat) or check(mat))
+    return checked
+
+
+class TestCheckMemo:
+    def test_rewrapped_checked_array_skips_the_checks(self, full_checks, rng):
+        rho = DensityMatrix(3, random_density_entries(3, rng))
+        assert len(full_checks) == 1
+        again = DensityMatrix(3, rho.entries)
+        assert again.entries is rho.entries
+        assert len(full_checks) == 1
+        # The qubit count and the shape are still checked.
+        for n in (0, 2, 4):
+            with pytest.raises(InvalidArityError):
+                DensityMatrix(n, rho.entries)
+        assert len(full_checks) == 1
+
+    @pytest.mark.parametrize("keeps, classes", [
+        (list(itertools.combinations(range(7), 3)), 2),
+        (list(itertools.combinations(range(7), 3))[::-1], 2),
+    ])
+    def test_each_class_is_checked_in_full_once(self, full_checks, keeps, classes):
+        psi = make_ms(7, 2.0)
+        for keep in keeps:
+            reduce_pure(psi, keep)
+        assert len(full_checks) == classes
+
+    def test_every_distinct_reduction_is_checked_in_full(self, full_checks, rng):
+        psi = PureState(6, random_pure(6, rng))
+        keeps = list(itertools.combinations(range(6), 3))
+        for keep in keeps + keeps:
+            reduce_pure(psi, keep)
+        assert len(full_checks) == len(keeps)
+
+    def test_copy_is_checked_in_full(self, full_checks, rng):
+        rho = DensityMatrix(3, random_density_entries(3, rng))
+        twin = DensityMatrix(3, rho.entries.copy())
+        assert twin.entries is not rho.entries
+        assert len(full_checks) == 2
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda a: a.__setitem__((2, 2), math.nan), "non-finite"),
+        (lambda a: a.__setitem__((0, 1), a[0, 1] + 0.25), "Hermitian"),
+        (lambda a: a.__setitem__((3, 3), a[3, 3] + 0.5), "trace"),
+    ])
+    def test_array_made_writeable_again_is_checked_in_full(self, full_checks, rng,
+                                                           spoil, message):
+        rho = reduce_pure(PureState(5, random_pure(5, rng)), (0, 2, 4))
+        entries = rho.entries
+        entries.setflags(write=True)
+        DensityMatrix(3, entries)  # unchanged: checked again, and frozen again
+        assert len(full_checks) == 2
+        assert not entries.flags.writeable
+        entries.setflags(write=True)
+        spoil(entries)
+        with pytest.raises(DomainError, match=message):
+            DensityMatrix(3, entries)
+
+    def test_view_is_checked_in_full(self, full_checks):
+        # Freezing a view leaves its base writeable, so the data can still
+        # change: a view gets no memo.
+        base = np.zeros((2, 8, 8), dtype=complex)
+        base[0] = np.eye(8) / 8
+        view = base[0]
+        DensityMatrix(3, view)
+        assert not view.flags.writeable
+        base[0, 0, 1] = 0.5
+        with pytest.raises(DomainError, match="Hermitian"):
+            DensityMatrix(3, view)
+        assert len(full_checks) == 2
+
+    def test_memo_entries_leave_with_their_matrix(self, rng):
+        gc.collect()
+        baseline = len(qstate._MEMOS)
+        rhos = [DensityMatrix(3, random_density_entries(3, rng)) for _ in range(1000)]
+        for rho in rhos:
+            correlation_tensor(rho)
+        assert len(qstate._MEMOS) == baseline + 1000
+        last = weakref.ref(rhos[-1].entries)
+        del rhos, rho
+        gc.collect()
+        assert last() is None
+        assert len(qstate._MEMOS) == baseline
+
+    def test_memo_entries_leave_with_their_state(self, rng):
+        gc.collect()
+        baseline = len(qstate._MEMOS)
+        psi = PureState(12, random_pure(12, rng))
+        for keep in itertools.combinations(range(12), 3):
+            correlation_tensor(reduce_pure(psi, keep))
+        assert len(qstate._MEMOS) == baseline + 220
+        dropped = weakref.ref(psi)
+        del psi
+        gc.collect()
+        assert dropped() is None
+        assert len(qstate._MEMOS) == baseline
 
 
 class TestPartialTrace:

@@ -30,12 +30,14 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    MAX_RESTARTS, _coefficients, _cross, _exact_directions, _grid_directions,
+    MAX_RESTARTS, _TERMS, _coefficients, _cross, _exact_directions, _grid_directions,
     _norm, _operands, _seesaw, _starts,
 )
-from svl.correlations import correlation_tensor
+from svl import correlations
+from svl.correlations import PAULIS, correlation_tensor
 
 from conftest import (
+    drop_memos,
     obs,
     oracle_grid_search,
     oracle_projected_gradient_max,
@@ -180,6 +182,25 @@ class TestValue:
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidArityError):
             svetlichny_value(maximally_mixed(2), optimal_ghz_settings())
+
+    def test_observables_are_built_once_per_settings(self, rng, monkeypatch):
+        rho = DensityMatrix(3, random_density_entries(3, rng))
+        s = random_settings(rng)
+        # The contraction of the observables built afresh from the angles.
+        a, ap, b, bp, c, cp = (v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p))
+        obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
+        want = complex(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS,
+                                 *obs.reshape(3, 2, 2, 2),
+                                 rho.entries.reshape((2,) * 6))).real
+        first = svetlichny_value(rho, s)
+        assert first == want
+        assert not s._observables.flags.writeable
+
+        def refuse(v):
+            raise AssertionError("observables built again")
+
+        monkeypatch.setattr(BlochVector, "cartesian", property(refuse))
+        assert svetlichny_value(rho, s) == first
 
 
 class TestBlochVector:
@@ -327,7 +348,7 @@ class TestMaximize:
         # The closed form, which would take the reduction, is declined.
         rho = reduce_pure(make_gghz(4, 0.3), (0, 1, 2))
         monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
-        monkeypatch.setattr("svl.svetlichny._closed", (None, None))
+        drop_memos(monkeypatch)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -384,7 +405,7 @@ def seesaw_only(rho, opts, monkeypatch):
     # The closed form kept from an earlier call on rho is dropped too.
     with monkeypatch.context() as patch:
         patch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
-        patch.setattr("svl.svetlichny._closed", (None, None))
+        drop_memos(patch)
         return maximize_svetlichny(rho, opts)
 
 
@@ -473,8 +494,9 @@ class TestClosedFormMemo:
         rhos = [reduce_pure(psi, (0, 1, 2)), reduce_pure(psi, (0, 1, 6))]
         fresh = []
         for rho in rhos:
-            monkeypatch.setattr("svl.svetlichny._closed", (None, None))
-            fresh.append(maximize_svetlichny(DensityMatrix(3, rho.entries.copy()), opts))
+            with monkeypatch.context() as patch:
+                drop_memos(patch)
+                fresh.append(maximize_svetlichny(DensityMatrix(3, rho.entries.copy()), opts))
         assert fresh[0].settings != fresh[1].settings
         for _ in range(3):
             for rho, want in zip(rhos, fresh):
@@ -482,6 +504,25 @@ class TestClosedFormMemo:
                 assert best == want
                 assert best.evaluations == 0
                 assert best.settings.angles().tobytes() == want.settings.angles().tobytes()
+
+    def test_alternating_classes_pay_once_each(self, closed_form_runs, monkeypatch):
+        # The keeps of MS(7) in combinations order switch between its two
+        # classes 19 times.
+        exact, singular = closed_form_runs
+        built = []
+        tensor = correlations.CorrelationTensor3
+        monkeypatch.setattr(correlations, "CorrelationTensor3",
+                            lambda m: built.append(m) or tensor(m))
+        opts = OptimizerOptions(restarts=8)
+        psi = make_ms(7, 2.0)
+        for keep in combinations(range(7), 3):
+            rho = reduce_pure(psi, keep)
+            best = maximize_svetlichny(rho, opts)
+            assert best.evaluations == 0
+            assert abs(best.value - svetlichny_upper_bound(rho)) <= 1e-12
+        assert len(built) == 2
+        assert len(singular) == 2
+        assert len(exact) == 2
 
     def test_every_hit_is_checked_through_svetlichny_value(self, monkeypatch):
         # A refused check on a kept closed form sends the call to the see-saw.

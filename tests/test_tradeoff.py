@@ -34,6 +34,8 @@ from svl import (
     verify_tradeoff,
 )
 
+from conftest import drop_memos
+
 SQRT2 = math.sqrt(2.0)
 FAST = OptimizerOptions(restarts=8)
 # A W-class state with four distinct reductions.
@@ -495,13 +497,12 @@ class TestVerifyTradeoff:
             self, data, bound, variant, monkeypatch):
         got = verify_tradeoff(StateSpec.from_dict(data), bound, FAST, variant)
         # The reference maximizes the keeps in combinations order on a
-        # fresh state, with the one-entry memos dropped before each keep.
+        # fresh state, with the matrix memos dropped before each keep.
         spec = StateSpec.from_dict(data)
         psi = spec.to_pure()
         rows = []
         for keep in combinations(range(spec.num_qubits), 3):
-            monkeypatch.setattr("svl.correlations._last", (None, None))
-            monkeypatch.setattr("svl.svetlichny._closed", (None, None))
+            drop_memos(monkeypatch)
             rho = reduce_pure(psi, keep)
             best = maximize_svetlichny(rho, FAST)
             rows.append(tradeoff.ReductionResult(
