@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _memo
+from .qstate import DensityMatrix, _derived
 
 __all__ = [
     "PAULIS",
@@ -39,6 +39,19 @@ PAULIS.setflags(write=False)
 _IMAG_TOL = 1e-10
 
 
+def _frozen_correlations(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """x as a read-only contiguous float array of the given shape, its
+    entries in [-1, 1] (InvalidArityError, DomainError)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape != shape:
+        raise InvalidArityError(f"expected a {'x'.join(map(str, shape))} {what}, "
+                                f"got shape {x.shape}")
+    if not np.max(np.abs(x)) <= 1.0 + _IMAG_TOL:
+        raise DomainError(f"correlation {what} entries must lie in [-1, 1]")
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationTensor3:
     """Real 3x3x3 array of triple-Pauli expectation values."""
@@ -46,13 +59,7 @@ class CorrelationTensor3:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.m, dtype=float)
-        if m.shape != (3, 3, 3):
-            raise InvalidArityError(f"expected a 3x3x3 tensor, got shape {m.shape}")
-        if not np.max(np.abs(m)) <= 1.0 + _IMAG_TOL:
-            raise DomainError("correlation tensor entries must lie in [-1, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _frozen_correlations(self.m, (3, 3, 3), "tensor"))
 
     @functools.cached_property
     def _upper_bound(self) -> float:
@@ -69,76 +76,34 @@ class CorrelationMatrix2:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.t, dtype=float)
-        if t.shape != (3, 3):
-            raise InvalidArityError(f"expected a 3x3 matrix, got shape {t.shape}")
-        if not np.max(np.abs(t)) <= 1.0 + _IMAG_TOL:
-            raise DomainError("correlation matrix entries must lie in [-1, 1]")
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _frozen_correlations(self.t, (3, 3), "matrix"))
 
 
-def _tensor_table() -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices and phases (8, 27) of correlation_tensor.
-
-    Tr(rho O) is the sum over rows (a,b,c) and columns (d,e,f) of
-    rho[abc,def] O[def,abc], and each Pauli matrix has one nonzero entry
-    per column.  So for row abc and term ijk one column def survives, at
-    flat index 8*abc + def of rho, with phase
-    sigma_i[d,a] sigma_j[e,b] sigma_k[f,c].
-    """
-    rows = np.abs(PAULIS).argmax(axis=1)                  # d of sigma_p[:, a]
-    phases = np.take_along_axis(PAULIS, rows[:, None], axis=1)[:, 0]
-    a, b, c = (x[:, None] for x in np.unravel_index(np.arange(8), (2, 2, 2)))
-    i, j, k = np.unravel_index(np.arange(27), (3, 3, 3))
-    gather = 8 * np.arange(8)[:, None] + 4 * rows[i, a] + 2 * rows[j, b] + rows[k, c]
-    phase = phases[i, a] * phases[j, b] * phases[k, c]
-    gather.setflags(write=False)
-    phase.setflags(write=False)
-    return gather, phase
+# Tr(rho O) sums rho[abc, def] O[def, abc] over rows abc and columns def.
+_TRACES = {2: "abcd,ica,jdb->ij", 3: "abcdef,ida,jeb,kfc->ijk"}
 
 
-_GATHER, _PHASE = _tensor_table()
+def _pauli_traces(rho: DensityMatrix, k: int, what: str) -> np.ndarray:
+    """The real values Tr(rho sigma_i x sigma_j ...) of a k-qubit rho."""
+    if rho.num_qubits != k:
+        raise InvalidArityError(f"need a {k}-qubit state, got {rho.num_qubits} qubits")
+    m = np.einsum(_TRACES[k], rho.entries.reshape((2,) * 2 * k), *(PAULIS,) * k)
+    if np.abs(m.imag).max() > _IMAG_TOL:
+        raise DomainError(f"correlation {what} has a non-real entry")
+    return m.real
 
 
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
-    """All 27 values Tr(rho sigma_i x sigma_j x sigma_k).
-
-    Each value is a sum of 8 phased entries of rho, gathered by
-    _tensor_table and summed in row order.  The phases are exactly +-1 or
-    +-i, so every product is exact and the sum matches the 4-operand
-    einsum over rho and three Pauli matrices bit for bit.  The tensor is
-    kept in the memo of rho's entries (qstate._memo), so every call on
-    the same checked array, from any DensityMatrix and in any order,
-    returns the one tensor; all keeps of a symmetry class share it.  Its
-    4*lambda1 (CorrelationTensor3._upper_bound) and maximize_svetlichny's
-    closed form (svetlichny._closed_form) are kept with it, so they are
-    paid once per matrix too.  Entries without a memo (a view of another
-    array) get a new tensor on every call.
-    """
-    if rho.num_qubits != 3:
-        raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    memo = _memo(rho.entries)
-    tensor = None if memo is None else memo.get("tensor")
-    if tensor is None:
-        m = (rho.entries.ravel()[_GATHER] * _PHASE).sum(axis=0).reshape(3, 3, 3)
-        if np.abs(m.imag).max() > _IMAG_TOL:
-            raise DomainError("correlation tensor has a non-real entry")
-        tensor = CorrelationTensor3(m.real)
-        if memo is not None:
-            memo["tensor"] = tensor
-    return tensor
+    """All 27 values Tr(rho sigma_i x sigma_j x sigma_k), kept in the memo
+    of rho's entries (qstate._memo): every call on the same checked array
+    returns the one tensor, with its one 4*lambda1 (_upper_bound)."""
+    return _derived(rho.entries, "tensor",
+                    lambda: CorrelationTensor3(_pauli_traces(rho, 3, "tensor")))
 
 
 def pair_correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix2:
     """All 9 values Tr(rho sigma_i x sigma_j) for a two-qubit state."""
-    if rho.num_qubits != 2:
-        raise InvalidArityError(f"need a 2-qubit state, got {rho.num_qubits} qubits")
-    r = rho.entries.reshape(2, 2, 2, 2)
-    t = np.einsum("abcd,ica,jdb->ij", r, PAULIS, PAULIS)
-    if np.max(np.abs(t.imag)) > _IMAG_TOL:
-        raise DomainError("correlation matrix has a non-real entry")
-    return CorrelationMatrix2(t.real)
+    return CorrelationMatrix2(_pauli_traces(rho, 2, "matrix"))
 
 
 def flatten_correlation_tensor(tensor: CorrelationTensor3) -> np.ndarray:

@@ -15,7 +15,7 @@ import operator
 import weakref
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -118,14 +118,11 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
 
     The entries are stored read-only: a contiguous complex array given as
-    entries is frozen in place, anything else is copied first.  An array
-    that owns its data gets a memo (_memo) once it passes the full checks,
-    and a later DensityMatrix on that same array, still read-only, checks
-    only the qubit count and the shape: the finiteness, Hermiticity, trace
-    and eigenvalue checks are skipped.  A copy, a view, or an array made
-    writeable again is checked in full.  Writing to a checked array (after
-    setflags(write=True), or through a writeable view taken before it was
-    frozen) and freezing it again is unsupported.
+    entries is frozen in place, anything else is copied first.  A later
+    DensityMatrix on an array that passed the full checks and has a memo
+    (_memo) checks only the qubit count and the shape.  Writing to a
+    checked array (after setflags(write=True), or through a writeable view
+    taken before it was frozen) and freezing it again is unsupported.
     """
 
     num_qubits: int
@@ -144,8 +141,6 @@ class DensityMatrix:
         if _memo(mat) is None:
             _check_density(mat)
             _freeze(mat)
-            # A view can change through its base, so only an array that
-            # owns its data is known by its identity.
             if mat.base is None:
                 key = id(mat)
                 _MEMOS[key] = weakref.ref(mat), {}
@@ -174,23 +169,38 @@ def _check_density(mat: np.ndarray) -> None:
 
 
 # id(entries) -> (weak reference to entries, memo) for every array that
-# owns its data and passed DensityMatrix's full checks.  The weak
-# reference confirms the id, and a finalizer drops the entry when the
-# array is collected, so the memo never keeps a matrix alive.
+# owns its data and passed DensityMatrix's full checks (_memo).
 _MEMOS: dict[int, tuple[weakref.ref, dict]] = {}
 
 
 def _memo(entries: np.ndarray) -> dict | None:
     """The memo of a checked array that is still read-only, else None.
 
-    Values derived from the matrix alone are kept in it by the layers
-    above (correlation_tensor keeps its tensor under "tensor"), so each
-    distinct matrix pays for them once, in any order of calls.
+    The one cache of what a matrix alone determines: its tensor with its
+    4*lambda1 (correlation_tensor) and its closed-form settings or their
+    refusal (maximize_svetlichny), each built once through _derived.  An
+    array that owns its data gets a memo when it passes DensityMatrix's
+    full checks, which a later DensityMatrix on it skips, so each distinct
+    matrix pays once, in any order of calls.  The memo is keyed by id,
+    confirmed by a weak reference and dropped with the array.  A copy gets
+    its own; a view (its base can change it) and an array made writeable
+    again get none, and pay in full on every call.
     """
     found = _MEMOS.get(id(entries))
     if found is None or found[0]() is not entries or entries.flags.writeable:
         return None
     return found[1]
+
+
+def _derived(entries: np.ndarray, key: str, build: Callable[[], object]):
+    """memo[key] of entries' memo (_memo), built by build() and kept on
+    the first call; built on every call for entries without a memo."""
+    memo = _memo(entries)
+    if memo is None:
+        return build()
+    if key not in memo:  # a kept None counts
+        memo[key] = build()
+    return memo[key]
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -307,9 +317,7 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     representative; the symmetry is found on a state's first reduction,
     and the state keeps it and the matrices (PureState._classes).  Each
     call returns a new DensityMatrix, but the keeps of a class share its
-    read-only entries, which pass the full checks on the class's first
-    keep only: later keeps, in any order, check the shape alone and share
-    the matrix's memo (_memo), so its tensor too.
+    read-only entries and so their memo (_memo).
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .correlations import PAULIS, CorrelationTensor3, correlation_tensor, flatten_correlation_tensor
+from .correlations import PAULIS, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _bounded_int, _finite
+from .qstate import DensityMatrix, _bounded_int, _derived, _finite
 
 __all__ = [
     "BlochVector",
@@ -477,23 +477,6 @@ def _settings(v: np.ndarray) -> SvetlichnySettings:
     return SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v))
 
 
-# The settings _closed_form built for each live tensor (None: declined),
-# dropped with the tensor.
-_CLOSED_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _closed_form(tensor: CorrelationTensor3) -> SvetlichnySettings | None:
-    """The settings of _exact_directions on the tensor, or None; kept with
-    the tensor (_CLOSED_FORMS), which correlation_tensor keeps with its
-    matrix, so each distinct matrix builds them once."""
-    try:
-        return _CLOSED_FORMS[tensor]
-    except KeyError:
-        v = _exact_directions(tensor, tensor._upper_bound)
-        settings = _CLOSED_FORMS[tensor] = None if v is None else _settings(v)
-        return settings
-
-
 def maximize_svetlichny(rho: DensityMatrix,
                         opts: OptimizerOptions | None = None) -> SvetlichnyMaximum:
     """Maximize Tr(S rho) over all settings: in closed form where the
@@ -506,11 +489,9 @@ def maximize_svetlichny(rho: DensityMatrix,
     if svetlichny_value on them is within _EXACT_TOL of 4*lambda1, which
     proves them optimal; the result then reads converged True and
     evaluations 0, and does not depend on opts (no start is drawn).  The
-    settings (or their refusal) and 4*lambda1 are kept with the tensor
-    (_closed_form), which correlation_tensor keeps with the matrix, so a
-    later call on the same entries (any later keep of the same symmetry
-    class, in any order) pays only the svetlichny_value check, which
-    every call runs.
+    settings, or their refusal, are kept in the memo of rho's entries
+    (qstate._memo) beside the tensor, so a later call on the same entries
+    pays only the svetlichny_value check, which every call runs.
 
     See-saw: the value is linear in each party's pair of settings, so
     for fixed other settings the best pair is the normalized pair of
@@ -530,7 +511,12 @@ def maximize_svetlichny(rho: DensityMatrix,
         opts = OptimizerOptions()
     tensor = correlation_tensor(rho)
     bound = tensor._upper_bound
-    settings = _closed_form(tensor)
+
+    def closed_form() -> SvetlichnySettings | None:
+        v = _exact_directions(tensor, bound)
+        return None if v is None else _settings(v)
+
+    settings = _derived(rho.entries, "closed form", closed_form)
     if settings is not None:
         value = svetlichny_value(rho, settings)
         if abs(value - bound) <= _EXACT_TOL:
@@ -549,20 +535,43 @@ def _grid_directions(step: float) -> np.ndarray:
 
     The first half holds +z and the directions above the equator (on it,
     those with azimuth below pi); the second half is its exact negation,
-    so the grid is closed under negation bit for bit.
+    so the grid is closed under negation bit for bit.  A grid of more
+    than 4000 directions raises DomainError before any is built: each
+    count of angles up to x is x / step, corrected for the rounding of
+    i * step (from the exact quotient past 2**52 angles, where no grid
+    can be built).
     """
     _finite("step", step)
     if not step > 0:
         raise DomainError(f"grid step must be positive, got {step!r}")
-    thetas = np.arange(0.0, math.pi + 0.5 * step, step)
-    phis = np.arange(0.0, 2.0 * math.pi - 0.5 * step, step)
+
+    def quotient(x: float):
+        q = x / step
+        return q if q < 2.0**52 else Fraction(x) / Fraction(step)
+
+    def upto(x: float) -> int:
+        k = math.floor(quotient(x)) + 1
+        if k < 2**52:
+            while k > 0 and (k - 1) * step > x:
+                k -= 1
+            while k * step <= x:
+                k += 1
+        return k
+
+    # Polar angle i * step takes every azimuth j * step, j < phis (as many
+    # as np.arange(0, 2 pi - step / 2, step) takes), for first <= i < above,
+    # and on the equator, above <= i < equator, only those below pi.
+    phis = max(0, math.ceil(quotient(2.0 * math.pi - 0.5 * step)))
+    first = upto(math.nextafter(1e-12, 0.0))
+    above, equator = upto(0.5 * math.pi - 1e-12), upto(0.5 * math.pi + 1e-12)
+    east = min(phis, upto(math.pi - 1e-12))
+    n = 2 * (1 + (above - first) * phis + (equator - above) * east)
+    if n > 4000:
+        raise DomainError(f"grid step {step!r} yields {n} directions; too fine")
     upper = [np.array([0.0, 0.0, 1.0])]
-    for th in thetas:
-        if th < 1e-12 or th > 0.5 * math.pi + 1e-12:
-            continue
-        for ph in phis:
-            if th > 0.5 * math.pi - 1e-12 and ph > math.pi - 1e-12:
-                continue
+    for i in range(first, equator):
+        th = i * step
+        for ph in (j * step for j in range(phis if i < above else east)):
             upper.append(np.array([math.sin(th) * math.cos(ph),
                                    math.sin(th) * math.sin(ph),
                                    math.cos(th)]))
@@ -585,8 +594,6 @@ def svetlichny_grid_search(rho: DensityMatrix, step: float = math.pi / 8.0,
     size = _bounded_int("chunk", chunk, 1)
     dirs = _grid_directions(step)
     n = len(dirs)
-    if n > 4000:
-        raise DomainError(f"grid step {step!r} yields {n} directions; too fine")
     # Three symmetries keep |u| + |w|, and the grid is closed under
     # negation, so a quarter of the candidates reach the same maximum.
     # Swapping b and b' negates the difference vector, which maps onto

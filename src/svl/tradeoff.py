@@ -348,10 +348,9 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     and reported as the report's mode.  A variant the bound has no
     reading for raises DomainError.  Optimizer non-convergence is flagged
     on the report, not raised.  The reductions are maximized and listed
-    in combinations order.  The keeps of one symmetry class share one
-    read-only matrix, checked in full once, with its tensor, 4*lambda1
-    and closed-form settings (qstate._memo), so a later keep of a tight
-    class pays only its shape check and the svetlichny_value check.
+    in combinations order; the keeps of one symmetry class share one
+    matrix, which pays for its checks, tensor and closed form once
+    (qstate._memo).
     """
     if bound not in _BOUND_RULES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")

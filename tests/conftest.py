@@ -6,7 +6,6 @@ built from scratch so that agreement with the package is meaningful.
 """
 
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -130,12 +129,10 @@ def rng():
 
 
 def drop_memos(monkeypatch):
-    """Start every matrix's memo (svl.qstate._MEMOS) and the kept closed
-    forms (svl.svetlichny._CLOSED_FORMS) afresh, until monkeypatch undoes
-    it: the next DensityMatrix on any array is checked in full and gets a
-    new tensor and a new closed form."""
+    """Start every matrix's memo (svl.qstate._MEMOS) afresh, until
+    monkeypatch undoes it: the next DensityMatrix on any array is checked
+    in full and gets a new tensor and a new closed form."""
     monkeypatch.setattr("svl.qstate._MEMOS", {})
-    monkeypatch.setattr("svl.svetlichny._CLOSED_FORMS", weakref.WeakKeyDictionary())
 
 
 @pytest.fixture

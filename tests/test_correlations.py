@@ -74,7 +74,8 @@ class TestCorrelationTensor:
 
     def test_gather_matches_four_operand_einsum_exactly(self, rng):
         # Tr(rho sigma_i x sigma_j x sigma_k) as one einsum over rho and
-        # three Pauli matrices, the form the gather table replaced.
+        # three Pauli matrices, written out here: correlation_tensor must
+        # give these values bit for bit.
         paulis = np.stack(PAULI)
         states = [random_density_entries(3, rng) for _ in range(50)]
         states += [reduce_pure(PureState(4, random_pure(4, rng)), (0, 2, 3)).entries,

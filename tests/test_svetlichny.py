@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -505,6 +506,26 @@ class TestClosedFormMemo:
                 assert best.evaluations == 0
                 assert best.settings.angles().tobytes() == want.settings.angles().tobytes()
 
+    def test_view_builds_its_closed_form_on_every_call(self, closed_form_runs):
+        # A view gets no memo, so each call builds the tensor, its bound and
+        # the closed form (or its refusal) again, to the bytes of a
+        # memoized copy of the same entries, which builds them once.
+        exact, singular = closed_form_runs
+        opts = OptimizerOptions(restarts=8)
+        for entries in (reduce_pure(make_ms(5, 2.0), (0, 1, 4)).entries, w3().entries):
+            del exact[:], singular[:]
+            base = np.stack([entries, entries])
+            view, copy = DensityMatrix(3, base[1]), DensityMatrix(3, entries.copy())
+            assert view.entries.base is base
+            want = maximize_svetlichny(copy, opts)
+            assert maximize_svetlichny(copy, opts) == want
+            assert (len(exact), len(singular)) == (1, 1)
+            for calls in (2, 3, 4):
+                best = maximize_svetlichny(view, opts)
+                assert (len(exact), len(singular)) == (calls, calls)
+                assert best == want
+                assert best.settings.angles().tobytes() == want.settings.angles().tobytes()
+
     def test_alternating_classes_pay_once_each(self, closed_form_runs, monkeypatch):
         # The keeps of MS(7) in combinations order switch between its two
         # classes 19 times.
@@ -531,6 +552,25 @@ class TestClosedFormMemo:
         assert maximize_svetlichny(rho, opts).evaluations == 0
         monkeypatch.setattr("svl.svetlichny.svetlichny_value", lambda rho, s: 0.0)
         assert maximize_svetlichny(rho, opts).evaluations > 0
+
+
+def arange_grid(step):
+    """The grid as built before its size was counted from the step: two
+    np.arange axes filtered in a double loop."""
+    thetas = np.arange(0.0, math.pi + 0.5 * step, step)
+    phis = np.arange(0.0, 2.0 * math.pi - 0.5 * step, step)
+    upper = [np.array([0.0, 0.0, 1.0])]
+    for th in thetas:
+        if th < 1e-12 or th > 0.5 * math.pi + 1e-12:
+            continue
+        for ph in phis:
+            if th > 0.5 * math.pi - 1e-12 and ph > math.pi - 1e-12:
+                continue
+            upper.append(np.array([math.sin(th) * math.cos(ph),
+                                   math.sin(th) * math.sin(ph),
+                                   math.cos(th)]))
+    upper = np.array(upper)
+    return np.concatenate([upper, -upper])
 
 
 class TestGridSearch:
@@ -569,6 +609,33 @@ class TestGridSearch:
             np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
         # At step pi/8 the poles and 7 latitudes of 16 azimuths.
         assert len(_grid_directions(math.pi / 8)) == 2 + 7 * 16
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-9])
+    def test_too_fine_a_step_is_refused_before_building_the_grid(self, step):
+        # Building the ~2e9 directions of step 1e-4 would take about 40 min.
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"yields \d+ directions; too fine"):
+            svetlichny_grid_search(ghz3(), step)
+        assert time.perf_counter() - start < 1.0
+
+    def test_size_check_agrees_with_the_built_grid(self):
+        # Steps around the 4000-direction limit (near 0.07): the multiples
+        # of pi/k, whose angles land on the 1e-12 margins, and four steps
+        # where the quotient x / step alone miscounts the rounded points
+        # i * step up to the margin x = pi/2 + 1e-12 or pi - 1e-12.
+        steps = [*np.linspace(0.05, 0.2, 31), *(math.pi / k for k in range(16, 63)),
+                 0.11219973762827834, 0.05609986881413917, 0.09519977738147858,
+                 0.08490790955645387]
+        outcomes = set()
+        for step in map(float, steps):
+            want = arange_grid(step)
+            outcomes.add(len(want) > 4000)
+            if len(want) > 4000:
+                with pytest.raises(DomainError, match=f" yields {len(want)} directions;"):
+                    svetlichny_grid_search(ghz3(), step)
+            else:
+                assert _grid_directions(step).tobytes() == want.tobytes()
+        assert outcomes == {False, True}
 
     def test_quarter_of_the_pairs_reaches_the_full_enumeration(self, rng):
         dirs = _grid_directions(math.pi / 4)
