@@ -12,6 +12,7 @@ oracle both exploit through the correlation tensor.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,12 +109,6 @@ def observable(v: BlochVector) -> np.ndarray:
     return np.einsum("i,ijk->jk", v.cartesian, PAULIS)
 
 
-def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """np.kron(np.kron(a, b), c) of 2x2 matrices, by the same products."""
-    return (a[:, None, None, :, None, None] * b[:, None, None, :, None]
-            * c[:, None, None, :]).reshape(8, 8)
-
-
 def svetlichny_operator(s: SvetlichnySettings) -> np.ndarray:
     """Hermitian 8x8 Svetlichny operator for the given settings."""
     A, Ap = observable(s.a), observable(s.a_p)
@@ -121,8 +116,8 @@ def svetlichny_operator(s: SvetlichnySettings) -> np.ndarray:
     C, Cp = observable(s.c), observable(s.c_p)
     d = B + Bp
     dp = B - Bp
-    return (_kron3(A, d, C) + _kron3(A, dp, Cp)
-            + _kron3(Ap, dp, C) - _kron3(Ap, d, Cp))
+    return (np.kron(np.kron(A, d), C) + np.kron(np.kron(A, dp), Cp)
+            + np.kron(np.kron(Ap, dp), C) - np.kron(np.kron(Ap, d), Cp))
 
 
 # S in the four terms of the module docstring, with D = B + B' and
@@ -176,29 +171,18 @@ _EYE18 = np.eye(18)
 _EYE6_FRAMES = np.eye(6)[:, None, :, None]
 _AXES = np.eye(3)
 
-# The (p, q, s) index order of the Hessian block of parties p and q,
-# contracted with party s.
-_BLOCKS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
-
-def _form(m: np.ndarray) -> np.ndarray:
-    """The value as a trilinear form of the parties' pairs (a, a'), (b, b'),
-    (c, c'), each flattened to 6 entries: form[x i, y j, z k] =
-    _SIGN[x, y, z] m[i, j, k]."""
-    return (_SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]).reshape(6, 6, 6)
-
-
-def _operands(m: np.ndarray):
-    """_form(m) with each party's axis first (for _coefficients) and
-    transposed to each order of _BLOCKS (for _newton_step).
-
-    All are views of one array: einsum follows the strides it is given,
-    so contiguous copies can sum in another order and change the last
-    bits.
-    """
-    form = _form(m)
-    return (tuple(np.moveaxis(form, party, 0) for party in range(3)),
-            tuple(np.transpose(form, order) for order in _BLOCKS))
+def _table(m: np.ndarray) -> np.ndarray:
+    """The value as a symmetric trilinear form of all six directions
+    (a, a', b, b', c, c'), flattened to 18 entries: for each order
+    (p, q, s) of the parties, block (p, q, s) of the (3, 6, 3, 6, 3, 6)
+    table holds form[x i, y j, z k] = _SIGN[x, y, z] m[i, j, k] with its
+    axes in that order, and blocks where a party repeats are zero."""
+    form = (_SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :]).reshape(6, 6, 6)
+    table = np.zeros((3, 6, 3, 6, 3, 6))
+    for order in itertools.permutations(range(3)):
+        table[order[0], :, order[1], :, order[2]] = np.transpose(form, order)
+    return table.reshape(18, 18, 18)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -216,30 +200,30 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
-def _coefficients(forms: tuple[np.ndarray, ...], v: np.ndarray,
-                  party: int) -> np.ndarray:
+def _coefficients(table: np.ndarray, v: np.ndarray, party: int) -> np.ndarray:
     """Coefficient vectors of one party's two settings, the others fixed.
 
-    forms comes from _operands, and v holds unit vectors (a, a', b, b',
-    c, c') of shape (R, 6, 3).  The value of restart r is the sum over x
-    of v[r, 2*party + x] . out[r, x], so out[r, x] / |out[r, x]| is the
-    best setting x of that party.  Each restart's result is a sum over
-    its own entries, in an order that does not depend on the batch.
+    table comes from _table, and v holds unit vectors (a, a', b, b', c,
+    c') of shape (R, 6, 3).  The value of restart r is the sum over x of
+    v[r, 2*party + x] . out[r, x], so out[r, x] / |out[r, x]| is the best
+    setting x of that party.  Each restart's result is a sum over its own
+    entries, in an order that does not depend on the batch.
     """
     first, second = (k for k in range(3) if k != party)
     pairs = v.reshape(len(v), 3, 6)
-    return np.einsum("ijk,rj,rk->ri", forms[party],
-                     pairs[:, first], pairs[:, second]).reshape(-1, 2, 3)
+    block = table.reshape(3, 6, 3, 6, 3, 6)[party, :, first, :, second]
+    return np.einsum("ijk,rj,rk->ri", block, pairs[:, first],
+                     pairs[:, second]).reshape(-1, 2, 3)
 
 
-def _sweep(forms: tuple[np.ndarray, ...], v: np.ndarray):
+def _sweep(table: np.ndarray, v: np.ndarray):
     """One see-saw sweep: (a, a'), (b, b') and (c, c') are set in turn to
     their normalized coefficient vectors, which never lowers the value (up
     to the near-zero coefficients that keep their direction).  Returns the
     new directions and their value."""
     v = v.copy()
     for party in range(3):
-        coef = _coefficients(forms, v, party)
+        coef = _coefficients(table, v, party)
         norm = _norm(coef)
         pair = v[:, 2 * party:2 * party + 2]
         pair[...] = np.where(norm > _ZERO_COEFFICIENT,
@@ -247,34 +231,21 @@ def _sweep(forms: tuple[np.ndarray, ...], v: np.ndarray):
     return v, (pair * coef).sum(axis=(1, 2))
 
 
-def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray):
+def _newton_step(table: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Newton step of the value on the product of the six unit spheres.
 
-    blocks comes from _operands.
-    In a basis of the twelve tangent directions the Riemannian Hessian is
-    B^T (H - L) B, with H the Hessian of the trilinear value in the 18
-    Cartesian components and L each direction's own coefficient v_k . g_k.
-    Each curvature is taken by its size, so the step climbs along every
-    eigendirection, also away from a maximum; flat ones are left out.
-    Returns the rows of v whose tangent gradient g_k - (v_k . g_k) v_k is
-    not exactly zero, and their steps: the others are stationary points
-    of the value, and get no step.
+    table comes from _table.  In a basis of the twelve tangent directions
+    the Riemannian Hessian is B^T (H - L) B, with H = table . v the
+    Hessian of the trilinear value in the 18 Cartesian components and L
+    each direction's own coefficient v_k . g_k.  Each curvature is taken
+    by its size, so the step climbs along every eigendirection, also away
+    from a maximum; flat ones are left out.  Returns the steps (R, 6, 3).
     """
     r = len(v)
-    pairs = v.reshape(r, 3, 6)
-    hess = np.zeros((r, 3, 6, 3, 6))
-    for (p, q, s), block in zip(_BLOCKS, blocks):
-        hess[:, p, :, q] = np.einsum("ijk,rk->rij", block, pairs[:, s])
-        hess[:, q, :, p] = hess[:, p, :, q].transpose(0, 2, 1)
-    hess, vec = hess.reshape(r, 18, 18), v.reshape(r, 18)
+    vec = v.reshape(r, 18)
+    hess = np.einsum("ijk,rk->rij", table, vec)
     grad = (hess @ vec[..., None])[..., 0] / 2.0
     own = np.repeat((grad * vec).reshape(r, 6, 3).sum(axis=2), 3, axis=1)
-    rows = np.flatnonzero((grad - own * vec).any(axis=1))
-    if rows.size < r:
-        v, hess, grad, own = v[rows], hess[rows], grad[rows], own[rows]
-        r = rows.size
-    if r == 0:
-        return rows, v  # no rows, so no steps
     # Two unit tangents per direction, built from the axis it is closest
     # to being orthogonal to, so the cross product never degenerates.
     e1 = _cross(v, _AXES[np.abs(v).argmin(axis=2)])
@@ -287,7 +258,7 @@ def _newton_step(blocks: tuple[np.ndarray, ...], v: np.ndarray):
     along = (eig.transpose(0, 2, 1) @ (back @ grad[..., None]))[..., 0]
     along = np.divide(along, size, out=np.zeros_like(along),
                       where=size > _FLAT * size.max(axis=1, keepdims=True))
-    return rows, (basis @ (eig @ along[..., None]))[..., 0].reshape(r, 6, 3)
+    return (basis @ (eig @ along[..., None]))[..., 0].reshape(r, 6, 3)
 
 
 # Sweep cap per restart and the largest direction change at which a
@@ -308,11 +279,12 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
     converges, and stops, on the first sweep whose see-saw part moves no
     component of any direction more than _TOL, or stops unconverged
     after _MAX_SWEEPS sweeps.  The Newton step is taken only by the
-    restarts still moving and not at a stationary point.  Returns the
-    directions, the value after the last step, the number of sweeps and
-    the converged flag of every restart.
+    restarts still moving, and one _table(m) serves the sweeps, the
+    Newton step and the trial values.  Returns the directions, the value
+    after the last step, the number of sweeps and the converged flag of
+    every restart.
     """
-    forms, blocks = _operands(m)
+    table = _table(m)
     v = v.copy()
     value = np.zeros(len(v))
     sweeps = np.zeros(len(v), dtype=np.int64)
@@ -322,16 +294,14 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
         if live.size == 0:
             break
         old = v[live]
-        cur, val = _sweep(forms, old)
+        cur, val = _sweep(table, old)
         done = np.abs(cur - old).max(axis=(1, 2)) <= _TOL
         moving = np.flatnonzero(~done)
         if moving.size:
-            climbing, step = _newton_step(blocks, cur[moving])
-            moving = moving[climbing]
-        if moving.size:
+            step = _newton_step(table, cur[moving])
             trial = cur[moving][:, None] + _STEPS[:, None, None] * step[:, None]
             trial = (trial / _norm(trial)).reshape(-1, 6, 3)
-            tval = (trial[:, 4:] * _coefficients(forms, trial, 2)).sum(axis=(1, 2))
+            tval = (trial[:, 4:] * _coefficients(table, trial, 2)).sum(axis=(1, 2))
             best = (tval.reshape(-1, len(_STEPS)).argmax(axis=1)
                     + len(_STEPS) * np.arange(moving.size))
             up = tval[best] > val[moving]
@@ -413,7 +383,7 @@ def _phased(x: np.ndarray) -> tuple[np.ndarray, float]:
     return math.sqrt(2.0) * complex(math.cos(phi), math.sin(phi)) * x, phi
 
 
-def _case_a(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray) -> np.ndarray:
+def _case_a(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Directions of case A of _exact_directions."""
     ua = _unit(g[:, np.argmax(np.linalg.norm(g, axis=0))])
     uc = _unit(ua @ g)
@@ -432,6 +402,23 @@ def _case_b(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray) -> np.
                      (d - dp) / math.sqrt(2.0), gamma.real, gamma.imag])
 
 
+def _candidates(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray,
+                degenerate: bool):
+    """Case A, then where degenerate cases B and C, of _exact_directions."""
+    yield _case_a(g, d)
+    if degenerate:
+        yield _case_b(g, gp, d, dp)
+        # Row i of a 3x3 matrix's cofactors is row i + 1 x row i + 2.
+        a, c, b = (_cross(x[[1, 2, 0]], x[[2, 0, 1]]) for x in (g, gp, g + gp))
+        alpha, beta = 0.5 * (a - c), 0.5 * (b - a - c)
+        k = np.unravel_index(np.argmax(np.hypot(alpha, beta)), a.shape)
+        r = math.hypot(alpha[k], beta[k])
+        for sign in (1.0, -1.0) if r > 0.0 else ():
+            s = 0.5 * (math.atan2(beta[k], alpha[k])
+                       + sign * math.acos(min(max(-0.5 * (a[k] + c[k]) / r, -1.0), 1.0)))
+            yield _case_a(math.cos(s) * g + math.sin(s) * gp, math.cos(s) * d + math.sin(s) * dp)
+
+
 def _exact_directions(tensor, bound: float) -> np.ndarray | None:
     """Closed-form directions (6, 3) whose value on the tensor is within
     _EXACT_TOL of bound (its 4*lambda1), or None.
@@ -439,7 +426,7 @@ def _exact_directions(tensor, bound: float) -> np.ndarray | None:
     Write b + b' = 2 cos(w) d and b - b' = 2 sin(w) d' with d orthogonal
     to d', and G(d)[i, k] = m[i, j, k] d_j.  The value is then
     2 cos(w) <G(d), X> + 2 sin(w) <G(d'), Y> with
-    X + iY = (a + ia')(c + ic')^T, and two cases reach 4*lambda1, with
+    X + iY = (a + ia')(c + ic')^T, and three cases reach 4*lambda1, with
     d and d' the top two left singular vectors of the flattening:
 
     A (w = 0): G(d) = lambda1 u_a u_c^T has rank one.  Then a = -a' = u_a,
@@ -451,24 +438,25 @@ def _exact_directions(tensor, bound: float) -> np.ndarray | None:
       unit vectors (_phased), and (d, d') turns by the sum of the two
       phases, so that b, b' = (d +- d') / sqrt(2) collect the value
       2 sqrt(2) s = 4 lambda1.
+    C (w = 0): lambda1 = lambda2 and G(cos(s) d + sin(s) d') has rank one.
+      Its cofactors are (A + C + (A - C) cos 2s + B sin 2s) / 2, with A, C
+      those of G(d), G(d') and B = cof(G(d) + G(d')) - A - C; case A is
+      tried at both roots s of the one with the largest hypot(A - C, B).
 
     Each case builds its directions from the largest column of G(d) or
-    Z; the first whose value reaches bound is returned.  Case B is not
-    tried where lambda1^2 - lambda2^2 exceeds bound * _EXACT_TOL: its
-    value is at most 2 sqrt(2 (lambda1^2 + lambda2^2)), which then
-    falls short of bound by more than _EXACT_TOL.
+    Z; the first in the order A, B, C whose value reaches bound is
+    returned.  B and C are not tried where lambda1^2 - lambda2^2 exceeds
+    bound * _EXACT_TOL: B's value is at most 2 sqrt(2 (lambda1^2 +
+    lambda2^2)), which then falls short of bound by more than _EXACT_TOL.
     """
     flat = flatten_correlation_tensor(tensor)
     lam, left = np.linalg.eigh(flat @ flat.T)
     d, dp = left[:, 2], left[:, 1]
     g, gp = (d @ flat).reshape(3, 3), (dp @ flat).reshape(3, 3)
-    # Party 0's axis is already first in the form, so _coefficients reads
-    # it alone.
-    forms = (_form(tensor.m),)
+    table = _table(tensor.m)
     degenerate = lam[2] - lam[1] <= bound * _EXACT_TOL
-    for case in (_case_a, _case_b) if degenerate else (_case_a,):
-        v = case(g, gp, d, dp)
-        if abs((v[:2] * _coefficients(forms, v[None], 0)[0]).sum() - bound) <= _EXACT_TOL:
+    for v in _candidates(g, gp, d, dp, degenerate):
+        if abs((v[:2] * _coefficients(table, v[None], 0)[0]).sum() - bound) <= _EXACT_TOL:
             return v
     return None
 
@@ -482,7 +470,7 @@ def maximize_svetlichny(rho: DensityMatrix,
     """Maximize Tr(S rho) over all settings: in closed form where the
     4*lambda1 certificate is tight, by a multi-start see-saw elsewhere.
 
-    Exact path: where the correlation tensor falls in case A or B of
+    Exact path: where the correlation tensor falls in case A, B or C of
     _exact_directions (every reduction of the GGHZ and MS families and
     of the FIG4 slice does, as do zero tensors), the settings are built
     from the top singular vectors of its flattening.  They are accepted

@@ -1,6 +1,6 @@
 import math
 import time
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -31,14 +31,15 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    MAX_RESTARTS, _TERMS, _coefficients, _cross, _exact_directions, _grid_directions,
-    _norm, _operands, _seesaw, _starts,
+    MAX_RESTARTS, _SIGN, _TERMS, _coefficients, _cross, _exact_directions,
+    _grid_directions, _norm, _seesaw, _starts, _table,
 )
 from svl import correlations
 from svl.correlations import PAULIS, correlation_tensor
 
 from conftest import (
     drop_memos,
+    kron3,
     obs,
     oracle_grid_search,
     oracle_projected_gradient_max,
@@ -108,7 +109,7 @@ class TestOperator:
             4 * SQRT2, abs=1e-12)
 
     def test_matches_kron_oracle_exactly(self, rng):
-        # The broadcast products of _kron3 are those of np.kron.
+        # svetlichny_operator and the oracle take the same np.kron products.
         axes = [X_DIR, Y_DIR, Z_DIR, BlochVector(math.pi / 2, math.pi)]
         cases = [random_settings(rng) for _ in range(50)]
         cases += [SvetlichnySettings(*(axes[k % 4] for k in range(i, i + 6)))
@@ -166,11 +167,11 @@ class TestValue:
         # settings, against the 8x8 operator with that pair put in.
         for _ in range(20):
             rho = DensityMatrix(3, random_density_entries(3, rng))
-            forms, _ = _operands(correlation_tensor(rho).m)
+            table = _table(correlation_tensor(rho).m)
             s = random_settings(rng)
             vecs = [v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p)]
             for party in range(3):
-                coef = _coefficients(forms, np.array([vecs]), party)[0]
+                coef = _coefficients(table, np.array([vecs]), party)[0]
                 assert float(np.sum(coef * vecs[2 * party:2 * party + 2])) == (
                     pytest.approx(svetlichny_value(rho, s), abs=1e-10))
                 best = list(vecs)
@@ -343,30 +344,46 @@ class TestMaximize:
                               (_norm(a), np.linalg.norm(a, axis=-1, keepdims=True))):
                 assert got.tobytes() == want.tobytes()
 
-    def test_stationary_restarts_skip_the_newton_step(self, monkeypatch):
+    def test_stationary_restarts_converge_to_the_bound(self, monkeypatch):
         # Every see-saw sweep on a GGHZ reduction lands on directions whose
-        # tangent gradient is exactly zero, so no Newton frame is built.
-        # The closed form, which would take the reduction, is declined.
+        # tangent gradient is exactly zero; the Newton step from there must
+        # not move them off the maximum.  The closed form, which would take
+        # the reduction, is declined.
         rho = reduce_pure(make_gghz(4, 0.3), (0, 1, 2))
         monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
         drop_memos(monkeypatch)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
         best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
-        assert calls == []
         assert best.converged
         assert best.value == pytest.approx(svetlichny_upper_bound(rho), abs=1e-9)
 
-    def test_restarts_do_not_depend_on_the_batch(self, rng):
-        rho = DensityMatrix(3, random_density_entries(3, rng))
+    @pytest.mark.parametrize("state", ["mixed", "wclass"])
+    @pytest.mark.parametrize("batch", [1, 8, 20])
+    def test_restarts_do_not_depend_on_the_batch(self, rng, state, batch):
+        if state == "mixed":
+            rho = DensityMatrix(3, random_density_entries(3, rng))
+        else:
+            coeffs = rng.normal(size=4)
+            rho = reduce_pure(make_wclass(*(coeffs / np.linalg.norm(coeffs)), 0.0), (0, 1, 2))
         m = correlation_tensor(rho).m
         starts = rng.normal(size=(64, 6, 3))
         starts /= np.linalg.norm(starts, axis=2, keepdims=True)
         large = _seesaw(m, starts)
-        small = _seesaw(m, starts[:8])
+        small = _seesaw(m, starts[:batch])
         for big, part in zip(large, small):
-            np.testing.assert_array_equal(big[:8], part)
+            np.testing.assert_array_equal(big[:batch], part)
+
+    def test_table_is_the_symmetric_trilinear_form(self, rng):
+        m = rng.normal(size=(3, 3, 3))
+        table = _table(m)
+        assert table.shape == (18, 18, 18)
+        for order in permutations(range(3)):
+            assert np.array_equal(np.transpose(table, order), table)
+        blocks = table.reshape(3, 6, 3, 6, 3, 6)
+        want = (_SIGN[:, None, :, None, :, None] * m[None, :, None, :, None, :])
+        assert np.array_equal(blocks[0, :, 1, :, 2], want.reshape(6, 6, 6))
+        for p, q, s in product(range(3), repeat=3):
+            if len({p, q, s}) < 3:
+                assert not blocks[p, :, q, :, s].any()
 
     @pytest.mark.parametrize("entries, value", [
         (np.eye(8) / 8, 0.0),
@@ -439,6 +456,22 @@ class TestExactPath:
         assert best.value >= svetlichny_grid_search(rho, math.pi / 8) - 1e-9
         assert abs(best.value - svetlichny_upper_bound(rho)) <= 1e-12
         assert best.value == svetlichny_value(rho, best.settings)
+
+    @pytest.mark.parametrize("turn", [0.1, 0.3, 0.7, 1.2])
+    def test_takes_a_turned_rank_one_plane(self, turn, monkeypatch):
+        # (I + ZZZ/2 + XXX/2)/8 with the middle qubit turned about y has a
+        # degenerate top plane where neither case A at the top singular
+        # vector nor case B holds, only case A at a turn of that plane.
+        x, y, z = PAULIS
+        rot = math.cos(turn / 2) * np.eye(2) - 1j * math.sin(turn / 2) * y
+        u = np.kron(np.kron(np.eye(2), rot), np.eye(2))
+        entries = (np.eye(8) + 0.5 * kron3(z, z, z) + 0.5 * kron3(x, x, x)) / 8
+        rho = DensityMatrix(3, u @ entries @ u.conj().T)
+        best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
+        seesaw = seesaw_only(rho, OptimizerOptions(restarts=8), monkeypatch)
+        assert best.evaluations == 0
+        assert abs(best.value - svetlichny_upper_bound(rho)) <= 1e-12
+        assert best.value >= seesaw.value - 1e-12
 
     def test_never_taken_below_the_certificate(self, rng):
         states = [w3()] + [DensityMatrix(3, random_density_entries(3, rng))
