@@ -193,15 +193,10 @@ def _run_bound(args):
 
 def _run_maximize(args):
     best = maximize_svetlichny(_reduced_density(args, sizes=(3,)), _opts(args))
-    payload = {
-        "value": best.value,
-        "converged": best.converged,
-        "restarts": best.restarts,
-        "evaluations": best.evaluations,
-        "settings": best.settings.to_dict(),
-    }
-    rows = [(best.value, best.converged, best.restarts, best.evaluations)]
-    return payload, ("value", "converged", "restarts", "evaluations"), rows, best.converged
+    cols = ("value", "converged", "restarts", "evaluations")
+    row = tuple(getattr(best, c) for c in cols)
+    payload = {**dict(zip(cols, row)), "settings": best.settings.to_dict()}
+    return payload, cols, [row], best.converged
 
 
 def _run_tensor(args):

@@ -267,12 +267,11 @@ def make_dicke(n: int, m: int) -> PureState:
     """
     n = _bounded_int("n", n, 1, MAX_QUBITS, InvalidArityError)
     m = _bounded_int("m", m, 0, n, InvalidArityError)
-    idx = np.arange(2**n)
-    popcount = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        popcount += (idx >> bit) & 1
+    ones = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        ones = np.concatenate([ones, ones + 1])
     amps = np.zeros(2**n, dtype=complex)
-    amps[popcount == n - m] = 1.0 / math.sqrt(comb(n, m))
+    amps[ones == n - m] = 1.0 / math.sqrt(comb(n, m))
     return PureState(n, amps)
 
 
@@ -298,7 +297,12 @@ def maximally_mixed(n: int) -> DensityMatrix:
 
 
 def _check_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    kept = tuple(_bounded_int("kept qubit index", q, 0, n - 1, IndexError) for q in keep)
+    try:
+        qubits = iter(keep)
+    except TypeError:
+        raise IndexError("keep must be an iterable of qubit indices, "
+                         f"got {type(keep).__name__}") from None
+    kept = tuple(_bounded_int("kept qubit index", q, 0, n - 1, IndexError) for q in qubits)
     if not kept:
         raise IndexError("keep must be nonempty")
     if any(a >= b for a, b in zip(kept, kept[1:])):
@@ -400,22 +404,26 @@ def _representative(kept: tuple[int, ...], start: tuple[int, ...]) -> tuple[int,
 
 
 _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")
-# JSON fields of each family besides "family"; "n" is the qubit count,
-# which W-class specs leave implicit (four).
-_FIELDS = {
-    "GGHZ": ("n", "theta"),
-    "MS": ("n", "theta"),
-    "WCLASS": _WCLASS_KEYS,
-    "DICKE": ("n", "m"),
-    "CUSTOM": ("n", "amplitudes"),
+# Each family's JSON fields besides "family", and its builder from the
+# qubit count n and the params; "n" is the qubit count, which W-class
+# specs leave implicit (four).
+_FAMILIES = {
+    "GGHZ": (("n", "theta"), lambda n, p: make_gghz(n, _real("theta", p["theta"]))),
+    "MS": (("n", "theta"), lambda n, p: make_ms(n, _real("theta", p["theta"]))),
+    "WCLASS": (_WCLASS_KEYS,
+               lambda n, p: make_wclass(*(_real(k, p[k]) for k in _WCLASS_KEYS))),
+    "DICKE": (("n", "m"), lambda n, p: make_dicke(n, _integer("m", p["m"]))),
+    "CUSTOM": (("n", "amplitudes"),
+               lambda n, p: PureState(n, _normalized(_amplitudes(p["amplitudes"])))),
 }
-_FAMILIES = tuple(_FIELDS)
 
 
 def _check_fields(family: object, given: set, implicit: set = frozenset()) -> None:
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown family {family!r}, expected one of {_FAMILIES}")
-    expected = set(_FIELDS[family]) - implicit
+    # A tuple, not the dict: an unhashable family must fail the test too.
+    names = tuple(_FAMILIES)
+    if family not in names:
+        raise DomainError(f"unknown family {family!r}, expected one of {names}")
+    expected = set(_FAMILIES[family][0]) - implicit
     unknown = given - expected
     if unknown:
         raise DomainError(f"unexpected fields for {family}: {sorted(unknown)}")
@@ -472,18 +480,11 @@ class StateSpec:
     _pure: PureState = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.params, Mapping):
+            raise DomainError(f"params must be a mapping, got {type(self.params).__name__}")
         _check_fields(self.family, set(self.params), implicit={"n"})
-        n, p = _integer("n", self.num_qubits), self.params
-        if self.family == "GGHZ":
-            psi = make_gghz(n, _real("theta", p["theta"]))
-        elif self.family == "MS":
-            psi = make_ms(n, _real("theta", p["theta"]))
-        elif self.family == "WCLASS":
-            psi = make_wclass(*(_real(k, p[k]) for k in _WCLASS_KEYS))
-        elif self.family == "DICKE":
-            psi = make_dicke(n, _integer("m", p["m"]))
-        else:
-            psi = PureState(n, _normalized(_amplitudes(p["amplitudes"])))
+        n = _integer("n", self.num_qubits)
+        psi = _FAMILIES[self.family][1](n, self.params)
         if psi.num_qubits != n:
             raise InvalidArityError(f"{self.family} states have {psi.num_qubits} "
                                     f"qubits, got n={n}")

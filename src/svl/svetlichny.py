@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,18 +78,10 @@ class SvetlichnySettings:
     c_p: BlochVector
 
     def angles(self) -> np.ndarray:
-        out = np.empty(12)
-        for k, v in enumerate((self.a, self.a_p, self.b, self.b_p, self.c, self.c_p)):
-            out[2 * k] = v.theta
-            out[2 * k + 1] = v.phi
-        return out
+        return np.array(astuple(self), dtype=float).ravel()
 
     def to_dict(self) -> dict:
-        return {
-            name: {"theta": v.theta, "phi": v.phi}
-            for name, v in zip(("a", "a_p", "b", "b_p", "c", "c_p"),
-                               (self.a, self.a_p, self.b, self.b_p, self.c, self.c_p))
-        }
+        return asdict(self)
 
     @functools.cached_property
     def _observables(self) -> np.ndarray:
@@ -453,10 +445,10 @@ def _exact_directions(tensor, bound: float) -> np.ndarray | None:
     lam, left = np.linalg.eigh(flat @ flat.T)
     d, dp = left[:, 2], left[:, 1]
     g, gp = (d @ flat).reshape(3, 3), (dp @ flat).reshape(3, 3)
-    table = _table(tensor.m)
     degenerate = lam[2] - lam[1] <= bound * _EXACT_TOL
     for v in _candidates(g, gp, d, dp, degenerate):
-        if abs((v[:2] * _coefficients(table, v[None], 0)[0]).sum() - bound) <= _EXACT_TOL:
+        value = np.einsum("xyz,ijk,xi,yj,zk->", _SIGN, tensor.m, v[:2], v[2:4], v[4:])
+        if abs(value - bound) <= _EXACT_TOL:
             return v
     return None
 

@@ -352,7 +352,7 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     matrix, which pays for its checks, tensor and closed form once
     (qstate._memo).
     """
-    if bound not in _BOUND_RULES:
+    if bound not in BOUND_NAMES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
     rule = _BOUND_RULES[bound]
     _check_variant(variant, rule.variants, f"bound {bound!r}")
@@ -442,7 +442,7 @@ def sweep_figure(fig: str, grid_points: int = 181,
         converged is False if any maximization did not converge.  The
         closed-form figures always report converged, and take no opts.
     """
-    if fig not in _FIGURE_RULES:
+    if fig not in FIGURES:
         raise DomainError(f"unknown figure {fig!r}, expected one of {FIGURES}")
     rule = _FIGURE_RULES[fig]
     _check_variant(variant, rule.variants, f"figure {fig!r}")

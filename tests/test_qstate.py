@@ -412,7 +412,8 @@ class TestPartialTrace:
             reduce_pure(psi, (2, 1))
         with pytest.raises(IndexError):
             reduce_pure(psi, (1, 1, 2))
-        for keep in [(0, 1.9, 2), (0, 1.0, 2), (True, 2), (0, np.bool_(True)), ("0", "1")]:
+        for keep in [(0, 1.9, 2), (0, 1.0, 2), (True, 2), (0, np.bool_(True)), ("0", "1"),
+                     None, 3]:
             with pytest.raises(IndexError):
                 reduce_pure(psi, keep)
         for keep in [np.arange(3), (np.int64(0), np.int32(1), np.uint8(2))]:
@@ -615,7 +616,31 @@ def assert_sweeps_match_oracle(states):
                                            rtol=0, atol=1e-14, err_msg=str((n, keep)))
 
 
+# One spec of each family and its state, built by the family constructor.
+FAMILY_EXAMPLES = {
+    "GGHZ": ({"n": 5, "theta": 0.3}, lambda: make_gghz(5, 0.3)),
+    "MS": ({"n": 5, "theta": 2.0}, lambda: make_ms(5, 2.0)),
+    "WCLASS": ({"alpha": 0.6, "beta": 0.0, "gamma": 0.0, "delta": 0.8, "lambda": 0.0},
+               lambda: make_wclass(0.6, 0.0, 0.0, 0.8, 0.0)),
+    "DICKE": ({"n": 5, "m": 2}, lambda: make_dicke(5, 2)),
+    "CUSTOM": ({"n": 2, "amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]]},
+               lambda: PureState(2, np.array([0.5, 0.5j, 0.5, 0.5j]))),
+}
+
+
 class TestStateSpec:
+    @pytest.mark.parametrize("family", qstate._FAMILIES)
+    def test_each_family_builds_with_its_constructor(self, family):
+        data, build = FAMILY_EXAMPLES[family]
+        spec = StateSpec.from_dict({"family": family, **data})
+        assert spec.family == family
+        assert spec.to_pure().amplitudes.tobytes() == build().amplitudes.tobytes()
+
+    @pytest.mark.parametrize("params", [None, 0.3, [("theta", 0.3)]])
+    def test_rejects_params_that_are_not_a_mapping(self, params):
+        with pytest.raises(DomainError, match="params must be a mapping"):
+            StateSpec("GGHZ", 4, params)
+
     def test_gghz_spec(self):
         spec = from_json('{"family":"GGHZ","n":4,"theta":0.7853981633974483}')
         assert spec.num_qubits == 4

@@ -219,6 +219,22 @@ class TestBlochVector:
                 BlochVector.from_cartesian(v)
 
 
+class TestSettings:
+    def test_to_dict_and_angles_list_the_six_settings_in_order(self):
+        vectors = [BlochVector(0.1 * k, 0.2 * k) for k in range(1, 6)] + [Z_DIR]
+        s = SvetlichnySettings(*vectors)
+        data = s.to_dict()
+        assert list(data) == ["a", "a_p", "b", "b_p", "c", "c_p"]
+        assert data == {name: {"theta": v.theta, "phi": v.phi}
+                        for name, v in zip(data, vectors)}
+        assert all(list(entry) == ["theta", "phi"] for entry in data.values())
+        angles = s.angles()
+        assert angles.dtype == np.float64 and angles.shape == (12,)
+        assert angles.tolist() == [x for v in vectors for x in (v.theta, v.phi)]
+        integral = SvetlichnySettings(*[BlochVector(0, 0)] * 6).angles()
+        assert integral.dtype == np.float64 and integral.tolist() == [0.0] * 12
+
+
 class TestMaximize:
     def test_ghz_reaches_maximum(self):
         best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=16))

@@ -457,8 +457,9 @@ class TestVerifyTradeoff:
 
     def test_unknown_bound_rejected(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
-        with pytest.raises(DomainError):
-            verify_tradeoff(spec, "theorem9", FAST)
+        for bound in ["theorem9", ["theorem1"]]:
+            with pytest.raises(DomainError, match="unknown bound"):
+                verify_tradeoff(spec, bound, FAST)
 
     @pytest.mark.parametrize("bound, spec", [
         ("theorem1", StateSpec("GGHZ", 4, {"theta": 0.3})),
@@ -580,8 +581,9 @@ class TestSweepFigure:
         assert sq[(0, 2, 3)] == pytest.approx(sq[(1, 2, 3)], abs=1e-6)
 
     def test_rejects_bad_figure_and_grid(self):
-        with pytest.raises(DomainError):
-            sweep_figure("FIG9", 10)
+        for fig in ["FIG9", ["FIG1"]]:
+            with pytest.raises(DomainError, match="unknown figure"):
+                sweep_figure(fig, 10)
         with pytest.raises(DomainError):
             sweep_figure("FIG1", 1)
 
