@@ -53,10 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interpret angle parameters as degrees")
 
     optimizer = argparse.ArgumentParser(add_help=False)
-    optimizer.add_argument("--seed", type=int, default=42,
-                           help="non-negative seed for all randomized restarts (default 42)")
-    optimizer.add_argument("--restarts", type=int, default=64,
-                           help="optimizer restarts (default 64)")
+    optimizer.add_argument("--seed", type=int, default=OptimizerOptions.seed,
+                           help="non-negative seed for all randomized restarts "
+                                "(default %(default)s)")
+    optimizer.add_argument("--restarts", type=int, default=OptimizerOptions.restarts,
+                           help="optimizer restarts (default %(default)s)")
     optimizer.add_argument("--allow-unconverged", action="store_true",
                            help="exit 0 even when the optimizer did not converge")
 
@@ -95,15 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reduce onto these three qubits first")
 
     # One sub-parser per bound and per figure; only those with two
-    # readings take --variant.
+    # readings take --variant.  Each starts at its rule's first reading;
+    # set_defaults also writes the default of the --variant action they
+    # share, so every rule with two readings lists "verbatim" first.
     bounds = sub.add_parser(
         "tradeoff", help="check one trade-off bound against maximization").add_subparsers(
         dest="bound", required=True)
     for name, rule in _BOUND_RULES.items():
         pt = bounds.add_parser(name, parents=[output, state, optimizer]
                                + [reading] * (len(rule.variants) > 1))
-        if len(rule.variants) == 1:
-            pt.set_defaults(variant=rule.variants[0])
+        pt.set_defaults(variant=rule.variants[0])
 
     figures = sub.add_parser("figure", help="tabulate a figure's curves").add_subparsers(
         dest="figure", required=True)
@@ -111,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         pf = figures.add_parser(name, parents=[output] + [optimizer] * rule.optimized
                                 + [reading] * (len(rule.variants) > 1))
         pf.add_argument("--points", type=int, default=181, help="grid points (default 181)")
-        if len(rule.variants) == 1:
-            pf.set_defaults(variant=rule.variants[0])
+        pf.set_defaults(variant=rule.variants[0])
     return p
 
 
@@ -124,7 +125,7 @@ def _load_spec(args) -> StateSpec:
         text = args.state
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
         raise _ArgumentError(f"malformed state JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _ArgumentError("state JSON must be an object")

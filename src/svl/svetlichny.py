@@ -56,6 +56,8 @@ class BlochVector:
     @classmethod
     def from_cartesian(cls, v) -> "BlochVector":
         v = np.asarray(v, dtype=float)
+        if v.shape != (3,):
+            raise InvalidArityError(f"direction needs 3 components, got shape {v.shape}")
         norm = np.linalg.norm(v)
         if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"direction has norm {norm!r}, expected 1")

@@ -20,7 +20,7 @@ and sweep_figure reject it for the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import comb
 from typing import Callable, Mapping
@@ -30,7 +30,7 @@ import numpy as np
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError
 from .qstate import (MAX_QUBITS, _WCLASS_KEYS, StateSpec, _bounded_int, _finite,
-                     _normalized, reduce_pure)
+                     _normalized, _real, reduce_pure)
 from .svetlichny import OptimizerOptions, maximize_svetlichny
 
 __all__ = [
@@ -68,8 +68,9 @@ class WClassCoefficients:
     lam: float = 0.0
 
     def __post_init__(self):
-        # The rule of make_wclass, so every spec that builds passes here.
-        _normalized(np.array([self.alpha, self.beta, self.gamma, self.delta, self.lam]))
+        # The rules of a WCLASS spec and of make_wclass, so every spec that
+        # builds passes here.
+        _normalized(np.array([_real(f.name, getattr(self, f.name)) for f in fields(self)]))
 
 
 def _check_variant(variant: str, readings: tuple[str, ...] = VARIANTS,
@@ -80,8 +81,7 @@ def _check_variant(variant: str, readings: tuple[str, ...] = VARIANTS,
 
 def bound_gghz_sum(theta: float) -> float:
     """Bound 16|cos 2 theta| on the summed values of all GGHZ(4) reductions."""
-    _finite("theta", theta)
-    return 16.0 * abs(math.cos(2.0 * theta))
+    return bound_gghz_sum_n(4, theta)
 
 
 def bound_gghz_sum_spectral(theta: float) -> float:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from svl import bound_ms_sum, bound_ms_sum_n
-from svl.cli import main
+from svl.cli import build_parser, main
+from svl.tradeoff import _BOUND_RULES, _FIGURE_RULES
 
 from conftest import drop_memos
 
@@ -180,6 +181,7 @@ class TestErrors:
         (["state", "--state", '{"family":"CUSTOM","n":100000,"amplitudes":[[1,0]]}'], 3),
         (["figure", "FIG4", "--variant", "corrected"], 2),
         (["tradeoff", "theorem1", "--state", GGHZ4, "--variant", "corrected"], 2),
+        (["state", "--state", "[" * 100000], 2),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)
@@ -209,6 +211,14 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "use --reduce" in err
+
+    def test_too_deeply_nested_state_file_is_argument_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "state", "--state-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("svl: malformed state JSON") and len(err.splitlines()) == 1
 
     def test_unreadable_state_file_is_argument_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", "--state-file",
@@ -280,6 +290,26 @@ class TestFlagReaders:
                 assert code == 2, row
                 assert out == ""
                 assert "unrecognized arguments" in err
+
+
+def test_each_bound_and_figure_starts_at_its_first_reading():
+    parser = build_parser()
+    for name, rule in _BOUND_RULES.items():
+        args = parser.parse_args(["tradeoff", name, "--state", GGHZ4])
+        assert args.variant == rule.variants[0], name
+    for name, rule in _FIGURE_RULES.items():
+        assert parser.parse_args(["figure", name]).variant == rule.variants[0], name
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["maximize"], ["tradeoff", "theorem1"],
+                                      ["figure", "FIG4"]])
+    def test_optimizer_defaults_are_shown(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = run_cli(capsys, *argv, "--help")
+        assert code == 0
+        assert "(default 64)" in out
+        assert "(default 42)" in out
 
 
 class TestTensorVerb:

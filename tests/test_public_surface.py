@@ -37,6 +37,16 @@ def test_every_package_name_is_listed_by_a_layer():
     assert public - listed == set()
 
 
+def test_package_exports_every_library_layer_name():
+    listed = set()
+    for layer in LAYERS:
+        if layer != "cli":
+            listed.update(importlib.import_module(f"svl.{layer}").__all__)
+    public = {name for name, obj in vars(svl).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == listed
+
+
 GGHZ6 = svl.make_gghz(6, 0.3)
 GHZ3 = svl.to_density(svl.make_gghz(3, math.pi / 4))
 

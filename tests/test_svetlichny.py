@@ -218,6 +218,12 @@ class TestBlochVector:
             with pytest.raises(DomainError):
                 BlochVector.from_cartesian(v)
 
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0], [[1.0], [0.0], [0.0]],
+                                     [], 1.0], ids=repr)
+    def test_from_cartesian_rejects_other_shapes(self, bad):
+        with pytest.raises(InvalidArityError):
+            BlochVector.from_cartesian(bad)
+
 
 class TestSettings:
     def test_to_dict_and_angles_list_the_six_settings_in_order(self):

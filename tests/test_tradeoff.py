@@ -89,6 +89,16 @@ class TestGghzBounds:
         with pytest.raises(InvalidArityError):
             bound_gghz_sum_n(3, 0.0)
 
+    def test_four_qubit_bound_is_the_n_qubit_bound_at_four(self):
+        for theta in [0.0, math.pi / 4, -0.3, -math.pi, 1e6, *np.linspace(-7, 7, 57)]:
+            assert bound_gghz_sum(theta) == bound_gghz_sum_n(4, theta)
+        for bad in [math.nan, True, "x"]:
+            with pytest.raises(DomainError) as four:
+                bound_gghz_sum(bad)
+            with pytest.raises(DomainError) as n_qubit:
+                bound_gghz_sum_n(4, bad)
+            assert str(four.value) == str(n_qubit.value)
+
 
 class TestMsBounds:
     def test_sum_bound_values(self):
@@ -257,6 +267,18 @@ class TestWclassSumBound:
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
             WClassCoefficients(1.0, 1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta", "lam"])
+    @pytest.mark.parametrize("bad", [1j, None, "0.5", True, np.True_], ids=repr)
+    def test_rejects_coefficients_that_are_not_real_numbers(self, field, bad):
+        # Zeros elsewhere, so the vector would be normalized were bad read as 1.
+        coeffs = dict.fromkeys(["alpha", "beta", "gamma", "delta", "lam"], 0.0)
+        with pytest.raises(DomainError, match=field):
+            WClassCoefficients(**{**coeffs, field: bad})
+
+    def test_keeps_coefficients_as_given(self):
+        w = WClassCoefficients(1, 0, 0, np.float64(0.0))
+        assert type(w.alpha) is int and type(w.delta) is np.float64
 
     @pytest.mark.parametrize("bound", ["theorem3", "eqn3p"])
     @pytest.mark.parametrize("delta", [0.5000000010, 0.5000000015, 0.5000000019])
