@@ -1,4 +1,4 @@
-"""Svetlichny operator construction, evaluation, and maximization.
+"""Svetlichny values and their maximization over measurement settings.
 
 The operator for settings (a, a', b, b', c, c') is
 
@@ -28,8 +28,6 @@ __all__ = [
     "SvetlichnySettings",
     "SvetlichnyMaximum",
     "OptimizerOptions",
-    "observable",
-    "svetlichny_operator",
     "svetlichny_value",
     "maximize_svetlichny",
     "svetlichny_grid_search",
@@ -98,22 +96,6 @@ class SvetlichnySettings:
         return obs
 
 
-def observable(v: BlochVector) -> np.ndarray:
-    """Traceless Hermitian 2x2 matrix v . sigma with eigenvalues +-1."""
-    return np.einsum("i,ijk->jk", v.cartesian, PAULIS)
-
-
-def svetlichny_operator(s: SvetlichnySettings) -> np.ndarray:
-    """Hermitian 8x8 Svetlichny operator for the given settings."""
-    A, Ap = observable(s.a), observable(s.a_p)
-    B, Bp = observable(s.b), observable(s.b_p)
-    C, Cp = observable(s.c), observable(s.c_p)
-    d = B + Bp
-    dp = B - Bp
-    return (np.kron(np.kron(A, d), C) + np.kron(np.kron(A, dp), Cp)
-            + np.kron(np.kron(Ap, dp), C) - np.kron(np.kron(Ap, d), Cp))
-
-
 # S in the four terms of the module docstring, with D = B + B' and
 # D' = B - B': the sum over x, w, z of _TERMS[x, w, z] X_x W_w Z_z, where
 # index 1 picks A', D' and C'.
@@ -129,8 +111,7 @@ def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
     Tr(A x D x C rho) sums A[a, d] D[b, e] C[c, f] rho[d, e, f, a, b, c].
     It builds neither the 8x8 operator nor the correlation tensor, so it
     stays an independent check of the tensor's route.  Where b = b' (case
-    A of _exact_directions), D' is exactly zero, as in
-    svetlichny_operator.
+    A of _exact_directions), D' is exactly zero.
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
@@ -158,12 +139,10 @@ _STEPS = 0.5 ** np.arange(8)
 _FLAT = 1e-10
 
 
-# Constant matrices of the Newton step: the 18x18 identity, the 6x6
-# identity shaped to broadcast against the (R, 6, 3, 2) tangent frames,
-# and the three coordinate axes.
-_EYE18 = np.eye(18)
-_EYE6_FRAMES = np.eye(6)[:, None, :, None]
-_AXES = np.eye(3)
+# Constants of the Newton step: direction indices, identities, and the
+# weights of the point and of the Newton and escape steps at 16 trials.
+_SIX, _EYE8, _AXES = np.arange(6), np.eye(8), np.eye(3)
+_LADDER = np.vstack([np.ones(16), np.kron(np.eye(2), _STEPS)])
 
 
 def _table(m: np.ndarray) -> np.ndarray:
@@ -225,40 +204,73 @@ def _sweep(table: np.ndarray, v: np.ndarray):
     return v, (pair * coef).sum(axis=(1, 2))
 
 
-def _newton_step(table: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Newton step of the value on the product of the six unit spheres.
+def _schur(table: np.ndarray, v: np.ndarray):
+    """Tangent frames (R, 18, 12), gradient (R, 8) and Hessian (R, 8, 8) of
+    F(a, a', b, b') = |g_c| + |g_c'|, the value with c, c' at their best,
+    at directions v (R, 6, 3) whose c, c' lie along g_c, g_c'.
 
-    table comes from _table.  In a basis of the twelve tangent directions
-    the Riemannian Hessian is B^T (H - L) B, with H = table . v the
-    Hessian of the trilinear value in the 18 Cartesian components and L
-    each direction's own coefficient v_k . g_k.  Each curvature is taken
-    by its size, so the step climbs along every eigendirection, also away
-    from a maximum; flat ones are left out.  Returns the steps (R, 6, 3).
+    A direction's tangents are the first two columns of its Householder
+    reflection I - w w^T / (1 + |v_z|), w = v + sign(v_z) z.  On them the
+    value's Riemannian Hessian is B^T H B - L (H = table . v, L each
+    direction's v_k . g_k), whose (c, c') block is -diag(|g_c|, |g_c|,
+    |g_c'|, |g_c'|): F's Hessian is its Schur complement (a zero g_c
+    couples nothing), and F's gradient is the value's.
     """
     r = len(v)
-    vec = v.reshape(r, 18)
-    hess = np.einsum("ijk,rk->rij", table, vec)
-    grad = (hess @ vec[..., None])[..., 0] / 2.0
-    own = np.repeat((grad * vec).reshape(r, 6, 3).sum(axis=2), 3, axis=1)
-    # Two unit tangents per direction, built from the axis it is closest
-    # to being orthogonal to, so the cross product never degenerates.
-    e1 = _cross(v, _AXES[np.abs(v).argmin(axis=2)])
-    e1 /= _norm(e1)
-    frame = np.stack([e1, _cross(v, e1)], axis=3)
-    basis = (_EYE6_FRAMES * frame[:, :, :, None]).reshape(r, 18, 12)
-    back = basis.transpose(0, 2, 1)
-    curv, eig = np.linalg.eigh(back @ (hess - own[:, None] * _EYE18) @ basis)
-    size = np.abs(curv)
-    along = (eig.transpose(0, 2, 1) @ (back @ grad[..., None]))[..., 0]
-    along = np.divide(along, size, out=np.zeros_like(along),
-                      where=size > _FLAT * size.max(axis=1, keepdims=True))
-    return (basis @ (eig @ along[..., None]))[..., 0].reshape(r, 6, 3)
+    vec = v.reshape(r, 18, 1)
+    hess = (table.reshape(324, 18) @ vec).reshape(r, 18, 18)
+    grad = hess @ vec / 2.0
+    own = np.repeat((grad.reshape(r, 6, 3) * v).sum(axis=2), 2, axis=1)
+    w = v + np.copysign(_AXES[2], v[..., 2:])
+    basis = np.zeros((r, 6, 3, 6, 2))
+    basis[:, _SIX, :, _SIX] = (_AXES[:, :2] - w[..., None] * w[..., None, :2]
+                               / (1.0 + np.abs(v[..., 2:, None]))).transpose(1, 0, 2, 3)
+    basis = basis.reshape(r, 18, 12)
+    full = basis[:, :12, :8].swapaxes(1, 2) @ hess[:, :12] @ basis
+    inv = np.divide(1.0, own[:, 8:], out=np.zeros((r, 4)), where=own[:, 8:] > _ZERO_COEFFICIENT)
+    cross, grad = full[:, :, 8:], (grad[:, :12].swapaxes(1, 2) @ basis[:, :12, :8])[:, 0]
+    return basis, grad, (full[:, :, :8] - own[:, :8, None] * _EYE8
+                         + cross * inv[:, None] @ cross.swapaxes(1, 2))
+
+
+def _newton_step(table: np.ndarray, v: np.ndarray):
+    """Best of 16 trials from directions v (R, 6, 3) as a sweep leaves
+    them: its directions (R, 6, 3), with c, c' at their best, and value.
+
+    The saddle-free Newton step of F (_schur) takes each curvature by its
+    size, so it climbs along every eigendirection not flat.  The escape,
+    tried where the largest curvature is positive and not flat, is that
+    unit eigenvector signed by the gradient: it climbs even at a saddle,
+    where the Newton step vanishes.  Along a tangent step s a setting x
+    moves by t in _STEPS to (x + t s) / sqrt(1 + t^2 |s|^2).
+    """
+    r = len(v)
+    basis, grad, hess = _schur(table, v)
+    curv, eig = np.linalg.eigh(hess)
+    size, along = np.abs(curv), (grad[:, None] @ eig)[:, 0]
+    flat = _FLAT * size.max(axis=1)
+    mix = np.zeros((r, 8, 2))
+    np.divide(along, size, out=mix[..., 0], where=size > flat[:, None])
+    mix[:, -1, 1] = np.copysign(1.0, along[:, -1])
+    steps = basis[:, :12, :8] @ (eig @ mix)
+    scale = np.sqrt(1.0 + (steps * steps).reshape(r, 4, 3, 2).sum(axis=2) @ _LADDER[1:] ** 2)
+    trial = ((np.concatenate([v.reshape(r, 18, 1)[:, :12], steps], axis=2) @ _LADDER)
+             .reshape(r, 4, 3, 16) / scale[:, :, None]).reshape(r, 12, 16)
+    coef = ((table[12:, :6, 6:12].reshape(36, 6) @ trial[:, 6:]).reshape(r, 2, 3, 6, 16)
+            * trial[:, None, None, :6]).sum(axis=3)
+    norm = np.sqrt((coef * coef).sum(axis=2))
+    value = norm.sum(axis=1)
+    value[curv[:, -1] <= flat, 8:] = -np.inf
+    rows, best = np.arange(r), value.argmax(axis=1)
+    coef, norm = coef[rows, :, :, best], norm[rows, :, best, None]
+    c = np.where(norm > _ZERO_COEFFICIENT, coef / np.maximum(norm, _ZERO_COEFFICIENT), v[:, 4:])
+    return np.concatenate([trial[rows, :, best].reshape(r, 4, 3), c], axis=1), value[rows, best]
 
 
 # Sweep cap per restart and the largest direction change at which a
 # restart converges.  Over the benchmark's maximize-3q and tradeoff-4q
-# workloads at seeds 1-12 (1044 maximizations), no restart used more
-# than 46 sweeps, and every one converged.
+# workloads at seeds 1-12 (1044 maximizations, 132 by see-saw), no
+# restart used more than 15 sweeps, and every one converged.
 _MAX_SWEEPS = 2000
 _TOL = 1e-10
 
@@ -266,17 +278,13 @@ _TOL = 1e-10
 def _seesaw(m: np.ndarray, v: np.ndarray):
     """Alternating maximization from the unit-vector starts v (R, 6, 3).
 
-    Each sweep is one see-saw sweep followed by a Newton step from its
-    result, at the best of _STEPS and only if that raises the value, so
-    the value never drops; where the see-saw alone crawls (nearly flat
-    maxima) the Newton step converges in a few sweeps.  A restart
-    converges, and stops, on the first sweep whose see-saw part moves no
-    component of any direction more than _TOL, or stops unconverged
-    after _MAX_SWEEPS sweeps.  The Newton step is taken only by the
-    restarts still moving, and one _table(m) serves the sweeps, the
-    Newton step and the trial values.  Returns the directions, the value
-    after the last step, the number of sweeps and the converged flag of
-    every restart.
+    Each sweep is a see-saw sweep, then, for the restarts it moved by more
+    than _TOL, the best trial of _newton_step unless that lowers the value
+    (near a maximum the value cannot resolve the gain of a step that the
+    see-saw alone would crawl through).  A restart converges, and stops,
+    on the first sweep whose see-saw part moves no component of any
+    direction more than _TOL, or stops unconverged after _MAX_SWEEPS.
+    Returns the directions, values, sweep counts and converged flags.
     """
     table = _table(m)
     v = v.copy()
@@ -292,15 +300,9 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
         done = np.abs(cur - old).max(axis=(1, 2)) <= _TOL
         moving = np.flatnonzero(~done)
         if moving.size:
-            step = _newton_step(table, cur[moving])
-            trial = cur[moving][:, None] + _STEPS[:, None, None] * step[:, None]
-            trial = (trial / _norm(trial)).reshape(-1, 6, 3)
-            tval = (trial[:, 4:] * _coefficients(table, trial, 2)).sum(axis=(1, 2))
-            best = (tval.reshape(-1, len(_STEPS)).argmax(axis=1)
-                    + len(_STEPS) * np.arange(moving.size))
-            up = tval[best] > val[moving]
-            cur[moving[up]] = trial[best[up]]
-            val[moving[up]] = tval[best[up]]
+            trial, tval = _newton_step(table, cur[moving])
+            up = tval >= val[moving]
+            cur[moving[up]], val[moving[up]] = trial[up], tval[up]
         v[live] = cur
         value[live] = val
         sweeps[live] += 1
@@ -309,7 +311,7 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
 
 
 # Largest restart budget, checked before the starts are drawn: the see-saw
-# peaks near 13 KB per restart (its Newton step), so 10**4 take ~130 MB.
+# peaks near 15 KB per restart (its Newton step), so 10**4 take ~150 MB.
 MAX_RESTARTS = 10**4
 
 
@@ -476,18 +478,16 @@ def maximize_svetlichny(rho: DensityMatrix,
     pays only the svetlichny_value check, which every call runs.
 
     See-saw: the value is linear in each party's pair of settings, so
-    for fixed other settings the best pair is the normalized pair of
-    coefficient vectors.  All restarts sweep over the three parties in
-    one batch (alternating maximization; Pal and Vertesi, PRA 82, 022116
-    (2010)), and each sweep ends with a safeguarded Newton step
-    (_seesaw).  Restart k draws its starting unit vectors from a
-    generator seeded deterministically by (opts.seed, k) (_starts), and
-    its arithmetic does not depend on the other restarts, so enlarging
-    the restart budget keeps the earlier restarts unchanged.
-    evaluations counts sweeps over all restarts.  If the best restart
-    used all _MAX_SWEEPS sweeps without converging, its value is still
-    returned with converged set to False.  See-saw results are not kept:
-    each call runs it afresh.
+    the best pair for fixed others is the normalized pair of coefficient
+    vectors.  All restarts sweep over the parties in one batch (Pal and
+    Vertesi, PRA 82, 022116 (2010)), and each sweep ends with a
+    saddle-free Newton step (Dauphin et al., NeurIPS 2014) on a, a', b,
+    b' with c, c' at their best, or a saddle escape (_newton_step).
+    Restart k starts from unit vectors drawn with the seed (opts.seed, k)
+    (_starts), and no other restart changes its arithmetic, so a larger
+    budget keeps the earlier restarts.  evaluations counts sweeps over
+    all restarts; a best restart stopped unconverged by _MAX_SWEEPS gives
+    its value with converged False.  See-saw results are not kept.
     """
     if opts is None:
         opts = OptimizerOptions()

@@ -31,6 +31,25 @@ def oracle_svetlichny_matrix(a, ap, b, bp, c, cp):
             + kron3(Ap, B - Bp, C) - kron3(Ap, B + Bp, Cp))
 
 
+def observable(v):
+    """v . sigma for a BlochVector v: the traceless Hermitian 2x2 matrix
+    with eigenvalues +-1, by one einsum of its Cartesian components."""
+    return np.einsum("i,ijk->jk", v.cartesian, np.array(PAULI))
+
+
+def svetlichny_operator(s):
+    """Hermitian 8x8 Svetlichny operator of SvetlichnySettings s, from
+    observable, with D = B + B' and D' = B - B' (the operator route that
+    svetlichny_value's contraction is checked against)."""
+    A, Ap = observable(s.a), observable(s.a_p)
+    B, Bp = observable(s.b), observable(s.b_p)
+    C, Cp = observable(s.c), observable(s.c_p)
+    d = B + Bp
+    dp = B - Bp
+    return (np.kron(np.kron(A, d), C) + np.kron(np.kron(A, dp), Cp)
+            + np.kron(np.kron(Ap, dp), C) - np.kron(np.kron(Ap, d), Cp))
+
+
 def oracle_tensor(rho_entries):
     """All 27 triple-Pauli expectations via explicit traces."""
     m = np.zeros((3, 3, 3))

@@ -22,17 +22,15 @@ from svl import (
     make_wclass,
     maximally_mixed,
     maximize_svetlichny,
-    observable,
     reduce_pure,
     svetlichny_grid_search,
-    svetlichny_operator,
     svetlichny_upper_bound,
     svetlichny_value,
     to_density,
 )
 from svl.svetlichny import (
     MAX_RESTARTS, _SIGN, _TERMS, _coefficients, _cross, _exact_directions,
-    _grid_directions, _norm, _seesaw, _starts, _table,
+    _grid_directions, _newton_step, _norm, _schur, _seesaw, _starts, _sweep, _table,
 )
 from svl import correlations
 from svl.correlations import PAULIS, correlation_tensor
@@ -41,10 +39,12 @@ from conftest import (
     drop_memos,
     kron3,
     obs,
+    observable,
     oracle_grid_search,
     oracle_projected_gradient_max,
     oracle_svetlichny_matrix,
     random_density_entries,
+    svetlichny_operator,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -421,6 +421,117 @@ class TestMaximize:
         assert best.converged
         assert best.evaluations == 0
         assert np.all(np.isfinite(best.settings.angles()))
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def reduced_value(m, ab):
+    """|g_c| + |g_c'| at a, a', b, b' (ab, (4, 3)): the value with c and c'
+    at their best, by one einsum of _SIGN and m."""
+    g = np.einsum("xyz,ijk,xi,yj->zk", _SIGN, m, ab[:2], ab[2:])
+    return float(np.linalg.norm(g, axis=1).sum())
+
+
+# maximize_svetlichny's maxima at 8 and 64 restarts on keep (0, 1, 2) of
+# Dicke(n, m), as the Newton step on all six directions found them, before
+# c and c' were eliminated from it; Dicke(n, n - 1) is the n-qubit W state.
+PINNED_MAXIMA = {
+    (4, 3): (2.8284271247461894, 2.8284271247461894),
+    (5, 4): (2.023857702507762, 2.023857702507762),
+    (6, 5): (1.539600717839003, 1.5396007178390025),
+    (7, 6): (1.4456126446484017, 1.4456126446484014),
+    (8, 7): (1.4142135623730947, 1.4142135623730951),
+    (9, 8): (1.4515494772048467, 1.4515494772048465),
+    (10, 9): (1.5999999999999908, 1.599999999999995),
+    (4, 1): (2.828427124746189, 2.828427124746189),
+    (4, 2): (0.0, 0.0),
+    (5, 1): (2.0238577025077626, 2.023857702507762),
+    (5, 2): (1.131370849898476, 1.131370849898476),
+    (5, 3): (1.131370849898477, 1.131370849898477),
+    (6, 1): (1.539600717839002, 1.539600717839003),
+    (6, 2): (1.4222222222222216, 1.4222222222222223),
+    (6, 3): (1.3877787807814457e-17, 1.3877787807814457e-17),
+    (6, 4): (1.4222222222222214, 1.4222222222222223),
+    (7, 1): (1.4456126446484014, 1.4456126446484014),
+    (7, 2): (1.4456126446484021, 1.4456126446484014),
+    (7, 3): (0.6095238095238092, 0.6095238095238092),
+    (7, 4): (0.6095238095238094, 0.6095238095238094),
+    (7, 5): (1.4456126446484026, 1.4456126446484026),
+    (8, 1): (1.4142135623730947, 1.4142135623730947),
+    (8, 2): (1.3783375752126326, 1.3783375752126334),
+    (8, 3): (0.922138891954147, 0.922138891954147),
+    (8, 4): (0.0, 0.0),
+    (8, 5): (0.9221388919541469, 0.9221388919541472),
+    (8, 6): (1.378337575212633, 1.378337575212633),
+}
+
+
+class TestNewtonStep:
+    def test_schur_gradient_and_hessian_match_finite_differences(self, rng):
+        # The retraction x -> (x + s) / |x + s| is of second order, so the
+        # central differences of F along it give the Riemannian gradient
+        # and Hessian on the tangent frames.
+        h = 1e-4
+        for _ in range(6):
+            m = rng.normal(size=(3, 3, 3))
+            table = _table(m)
+            v, _ = _sweep(table, unit_rows(rng.normal(size=(1, 6, 3))))
+            basis, grad, hess = _schur(table, v)
+            frames = basis[0, :12, :8].T.reshape(8, 4, 3)
+
+            def f(step):
+                return reduced_value(m, unit_rows(v[0, :4] + step))
+
+            want_grad = [(f(h * e) - f(-h * e)) / (2 * h) for e in frames]
+            want_hess = [[(f(h * (e + d)) - f(h * (e - d)) - f(h * (d - e)) + f(-h * (e + d)))
+                          / (4 * h * h) for d in frames] for e in frames]
+            np.testing.assert_allclose(grad[0], want_grad, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(hess[0], want_hess, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=0, atol=1e-13)
+
+    def test_reports_the_value_of_its_directions(self, rng):
+        # The 16 trial values are computed along the steps, not from the
+        # directions returned; both must agree, with c and c' at their best.
+        for _ in range(6):
+            m = rng.normal(size=(3, 3, 3))
+            table = _table(m)
+            cur, val = _sweep(table, unit_rows(rng.normal(size=(8, 6, 3))))
+            trial, value = _newton_step(table, cur)
+            np.testing.assert_allclose(np.linalg.norm(trial, axis=2), 1.0, rtol=0, atol=1e-14)
+            want = np.einsum("xyz,ijk,rxi,ryj,rzk->r", _SIGN, m, trial[:, :2], trial[:, 2:4],
+                             trial[:, 4:])
+            np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(value, [reduced_value(m, t[:4]) for t in trial],
+                                       rtol=0, atol=1e-12)
+
+    def test_start_near_a_saddle_escapes(self):
+        # Keep (0, 1, 2) of the eqn3p state of the tradeoff-4q benchmark at
+        # seed 8123.  Without the escape, a restart from this start lingers
+        # at a saddle of value 3.44070 for about 50 sweeps before it climbs
+        # to the maximum 3.44288.
+        psi = make_wclass(-0.32767265371304205, -0.5399734371025937, 0.695852318072383,
+                          0.3418316408197976, 0.0)
+        m = correlation_tensor(reduce_pure(psi, (0, 1, 2))).m
+        start = unit_rows(np.array([[0.025, 0.47, 0.882], [0.026, 0.47, -0.882],
+                                    [-0.054, -0.998, -0.01], [-0.001, -0.008, 1.0],
+                                    [0.001, 0.009, -1.0], [0.054, 0.998, 0.009]]))
+        top = _seesaw(m, _starts(42, 64))[1].max()
+        assert _sweep(_table(m), start[None])[1][0] < top - 2e-3
+        _, value, sweeps, converged = _seesaw(m, start[None])
+        assert converged[0]
+        assert sweeps[0] <= 12
+        assert abs(value[0] - top) <= 1e-9
+
+    @pytest.mark.parametrize("n, m", list(PINNED_MAXIMA))
+    def test_w_and_dicke_maxima_stay_pinned(self, n, m):
+        rho = reduce_pure(make_dicke(n, m), (0, 1, 2))
+        for restarts, want in zip((8, 64), PINNED_MAXIMA[n, m]):
+            best = maximize_svetlichny(rho, OptimizerOptions(restarts=restarts))
+            assert abs(best.value - want) <= 1e-9
+            assert best.converged
+            assert _seesaw(correlation_tensor(rho).m, _starts(42, restarts))[3].all()
 
 
 def family_reductions():
