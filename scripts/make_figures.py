@@ -13,6 +13,7 @@ import pathlib
 import sys
 import time
 
+from svl import VARIANTS
 from svl.cli import main as cli_main
 
 
@@ -45,8 +46,7 @@ def main() -> int:
                     help="grid points for FIG1-FIG3 (default 181)")
     ap.add_argument("--fig4-points", type=int, default=61,
                     help="grid points for FIG4 (default 61)")
-    ap.add_argument("--variant", choices=("verbatim", "corrected"),
-                    default="verbatim")
+    ap.add_argument("--variant", choices=VARIANTS, default="verbatim")
     args = ap.parse_args()
     return run(args.outdir, args.points, args.fig4_points, args.variant)
 

@@ -11,7 +11,9 @@ is set.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -248,8 +250,9 @@ def main(argv=None) -> int:
         if fmt == "json":
             text = json.dumps(payload) + "\n"
         else:
-            lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
-            text = "\n".join(lines) + "\n"
+            buf = io.StringIO()  # csv quotes a field with a comma: the tradeoff keep
+            csv.writer(buf, lineterminator="\n").writerows(map(_fmt, r) for r in [columns, *rows])
+            text = buf.getvalue()
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

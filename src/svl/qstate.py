@@ -242,20 +242,20 @@ def make_ms(n: int, theta: float) -> PureState:
     return PureState(n, _normalized(amps))
 
 
+def _wclass_amplitudes(*coefficients: object) -> np.ndarray:
+    amps = np.zeros(16, dtype=complex)
+    amps[[8, 4, 2, 1, 0]] = [_real(k, c) for k, c in zip(_WCLASS_KEYS, coefficients)]
+    return _normalized(amps)
+
+
 def make_wclass(alpha: float, beta: float, gamma: float, delta: float, lam: float) -> PureState:
     """Four-qubit single-excitation state with an optional vacuum term.
 
-    Amplitudes alpha, beta, gamma, delta on |1000>, |0100>, |0010>,
+    Real amplitudes alpha, beta, gamma, delta on |1000>, |0100>, |0010>,
     |0001> and lam on |0000>.  Squared coefficients must sum to 1
     within 1e-9; the stored state is renormalized exactly.
     """
-    amps = np.zeros(16, dtype=complex)
-    amps[0b1000] = alpha
-    amps[0b0100] = beta
-    amps[0b0010] = gamma
-    amps[0b0001] = delta
-    amps[0b0000] = lam
-    return PureState(4, _normalized(amps))
+    return PureState(4, _wclass_amplitudes(alpha, beta, gamma, delta, lam))
 
 
 def make_dicke(n: int, m: int) -> PureState:
@@ -408,10 +408,9 @@ _WCLASS_KEYS = ("alpha", "beta", "gamma", "delta", "lambda")
 # qubit count n and the params; "n" is the qubit count, which W-class
 # specs leave implicit (four).
 _FAMILIES = {
-    "GGHZ": (("n", "theta"), lambda n, p: make_gghz(n, _real("theta", p["theta"]))),
-    "MS": (("n", "theta"), lambda n, p: make_ms(n, _real("theta", p["theta"]))),
-    "WCLASS": (_WCLASS_KEYS,
-               lambda n, p: make_wclass(*(_real(k, p[k]) for k in _WCLASS_KEYS))),
+    "GGHZ": (("n", "theta"), lambda n, p: make_gghz(n, p["theta"])),
+    "MS": (("n", "theta"), lambda n, p: make_ms(n, p["theta"])),
+    "WCLASS": (_WCLASS_KEYS, lambda n, p: make_wclass(*(p[k] for k in _WCLASS_KEYS))),
     "DICKE": (("n", "m"), lambda n, p: make_dicke(n, _integer("m", p["m"]))),
     "CUSTOM": (("n", "amplitudes"),
                lambda n, p: PureState(n, _normalized(_amplitudes(p["amplitudes"])))),
@@ -469,9 +468,8 @@ class StateSpec:
       {"family": "DICKE", "n": 4, "m": 3}
       {"family": "CUSTOM", "n": 3, "amplitudes": [[re, im], ...]}
 
-    Construction checks the family, field names and field types, then
-    builds the state with the family constructor, which owns every range,
-    arity and normalization check.  params are kept as given.
+    Construction checks the family and field names; the family's builder
+    in _FAMILIES checks their values.  params are kept as given.
     """
 
     family: str

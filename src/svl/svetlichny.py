@@ -166,13 +166,6 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)[..., None]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis, by its products and differences."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
-
-
 def _coefficients(table: np.ndarray, v: np.ndarray, party: int) -> np.ndarray:
     """Coefficient vectors of one party's two settings, the others fixed.
 
@@ -405,7 +398,7 @@ def _candidates(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray,
     if degenerate:
         yield _case_b(g, gp, d, dp)
         # Row i of a 3x3 matrix's cofactors is row i + 1 x row i + 2.
-        a, c, b = (_cross(x[[1, 2, 0]], x[[2, 0, 1]]) for x in (g, gp, g + gp))
+        a, c, b = (np.cross(x[[1, 2, 0]], x[[2, 0, 1]]) for x in (g, gp, g + gp))
         alpha, beta = 0.5 * (a - c), 0.5 * (b - a - c)
         k = np.unravel_index(np.argmax(np.hypot(alpha, beta)), a.shape)
         r = math.hypot(alpha[k], beta[k])

@@ -20,17 +20,15 @@ and sweep_figure reject it for the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError
 from .qstate import (MAX_QUBITS, _WCLASS_KEYS, StateSpec, _bounded_int, _finite,
-                     _normalized, _real, reduce_pure)
+                     _wclass_amplitudes, reduce_pure)
 from .svetlichny import OptimizerOptions, maximize_svetlichny
 
 __all__ = [
@@ -68,9 +66,8 @@ class WClassCoefficients:
     lam: float = 0.0
 
     def __post_init__(self):
-        # The rules of a WCLASS spec and of make_wclass, so every spec that
-        # builds passes here.
-        _normalized(np.array([_real(f.name, getattr(self, f.name)) for f in fields(self)]))
+        # make_wclass's rule, so every WCLASS spec that builds passes here.
+        _wclass_amplitudes(self.alpha, self.beta, self.gamma, self.delta, self.lam)
 
 
 def _check_variant(variant: str, readings: tuple[str, ...] = VARIANTS,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -356,6 +357,11 @@ class TestTradeoffVerb:
         lines = out.strip().splitlines()
         assert lines[0].startswith("keep,value,")
         assert len(lines) == 5
+        # The keep holds commas, so it is quoted and each row reads back
+        # with the header's width.
+        rows = list(csv.reader(out.splitlines()))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        assert rows[1][0] == "0,1,2"
 
     def test_integer_theta_echoed_unchanged(self, capsys):
         spec = '{"family":"GGHZ","n":4,"theta":1}'

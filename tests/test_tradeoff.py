@@ -271,10 +271,13 @@ class TestWclassSumBound:
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta", "lam"])
     @pytest.mark.parametrize("bad", [1j, None, "0.5", True, np.True_], ids=repr)
     def test_rejects_coefficients_that_are_not_real_numbers(self, field, bad):
-        # Zeros elsewhere, so the vector would be normalized were bad read as 1.
+        # Zeros elsewhere, so the vector would be normalized were bad read as
+        # 1.  Both name lam 'lambda', as a WCLASS spec does.
         coeffs = dict.fromkeys(["alpha", "beta", "gamma", "delta", "lam"], 0.0)
-        with pytest.raises(DomainError, match=field):
-            WClassCoefficients(**{**coeffs, field: bad})
+        name = {"lam": "lambda"}.get(field, field)
+        for build in (make_wclass, WClassCoefficients):
+            with pytest.raises(DomainError, match=f"field '{name}' must be a real number"):
+                build(**{**coeffs, field: bad})
 
     def test_keeps_coefficients_as_given(self):
         w = WClassCoefficients(1, 0, 0, np.float64(0.0))
