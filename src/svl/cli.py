@@ -74,28 +74,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("state", parents=[output, state],
-                   help="emit the state's amplitudes as a reusable CUSTOM spec")
+    ps = sub.add_parser("state", parents=[output, state],
+                        help="emit the state's amplitudes as a reusable CUSTOM spec")
+    ps.set_defaults(run=_run_state)
 
     pr = sub.add_parser("reduce", parents=[output, state],
                         help="partial trace onto the kept qubits")
     pr.add_argument("--reduce", required=True, metavar="I,J,...",
                     help="comma-separated kept qubit indices")
+    pr.set_defaults(run=_run_reduce)
 
     pb = sub.add_parser("bound", parents=[output, state],
                         help="4*lambda1 bound (3 qubits) or CHSH maximum (2 qubits)")
     pb.add_argument("--reduce", metavar="I,J,...",
                     help="reduce onto these qubits first")
+    pb.set_defaults(run=_run_bound)
 
     pm = sub.add_parser("maximize", parents=[output, state, optimizer],
                         help="maximize the Svetlichny value over all settings")
     pm.add_argument("--reduce", metavar="I,J,K",
                     help="reduce onto these three qubits first")
+    pm.set_defaults(run=_run_maximize)
 
     px = sub.add_parser("tensor", parents=[output, state],
                         help="triple-Pauli correlation tensor of a 3-qubit state")
     px.add_argument("--reduce", metavar="I,J,K",
                     help="reduce onto these three qubits first")
+    px.set_defaults(run=_run_tensor)
 
     # One sub-parser per bound and per figure; only those with two
     # readings take --variant.  Each starts at its rule's first reading;
@@ -107,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, rule in _BOUND_RULES.items():
         pt = bounds.add_parser(name, parents=[output, state, optimizer]
                                + [reading] * (len(rule.variants) > 1))
-        pt.set_defaults(variant=rule.variants[0])
+        pt.set_defaults(variant=rule.variants[0], run=_run_tradeoff)
 
     figures = sub.add_parser("figure", help="tabulate a figure's curves").add_subparsers(
         dest="figure", required=True)
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         pf = figures.add_parser(name, parents=[output] + [optimizer] * rule.optimized
                                 + [reading] * (len(rule.variants) > 1))
         pf.add_argument("--points", type=int, default=181, help="grid points (default 181)")
-        pf.set_defaults(variant=rule.variants[0])
+        pf.set_defaults(variant=rule.variants[0], run=_run_figure)
     return p
 
 
@@ -228,17 +233,6 @@ def _run_figure(args):
     return [dict(zip(cols, row)) for row in rows], cols, rows, converged
 
 
-_RUNNERS = {
-    "state": _run_state,
-    "reduce": _run_reduce,
-    "bound": _run_bound,
-    "maximize": _run_maximize,
-    "tensor": _run_tensor,
-    "tradeoff": _run_tradeoff,
-    "figure": _run_figure,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -246,7 +240,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     fmt = args.format or ("csv" if args.verb in ("tensor", "figure") else "json")
     try:
-        payload, columns, rows, converged = _RUNNERS[args.verb](args)
+        payload, columns, rows, converged = args.run(args)
         if fmt == "json":
             text = json.dumps(payload) + "\n"
         else:

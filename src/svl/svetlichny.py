@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, astuple, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -511,45 +510,31 @@ def _grid_directions(step: float) -> np.ndarray:
     The first half holds +z and the directions above the equator (on it,
     those with azimuth below pi); the second half is its exact negation,
     so the grid is closed under negation bit for bit.  A grid of more
-    than 4000 directions raises DomainError before any is built: each
-    count of angles up to x is x / step, corrected for the rounding of
-    i * step (from the exact quotient past 2**52 angles, where no grid
-    can be built).
+    than 4000 directions raises DomainError before any is built: a step
+    of more than 2000 azimuths is refused at once, any other step is
+    counted angle by angle before a direction is built.
     """
     _finite("step", step)
     if not step > 0:
         raise DomainError(f"grid step must be positive, got {step!r}")
-
-    def quotient(x: float):
-        q = x / step
-        return q if q < 2.0**52 else Fraction(x) / Fraction(step)
-
-    def upto(x: float) -> int:
-        k = math.floor(quotient(x)) + 1
-        if k < 2**52:
-            while k > 0 and (k - 1) * step > x:
-                k -= 1
-            while k * step <= x:
-                k += 1
-        return k
-
-    # Polar angle i * step takes every azimuth j * step, j < phis (as many
-    # as np.arange(0, 2 pi - step / 2, step) takes), for first <= i < above,
-    # and on the equator, above <= i < equator, only those below pi.
-    phis = max(0, math.ceil(quotient(2.0 * math.pi - 0.5 * step)))
-    first = upto(math.nextafter(1e-12, 0.0))
-    above, equator = upto(0.5 * math.pi - 1e-12), upto(0.5 * math.pi + 1e-12)
-    east = min(phis, upto(math.pi - 1e-12))
-    n = 2 * (1 + (above - first) * phis + (equator - above) * east)
+    # As many azimuths j * step as np.arange(0, 2 pi - step / 2, step)
+    # takes; past 2000, one latitude and its negation exceed 4000.
+    phis = (2.0 * math.pi - 0.5 * step) / step
+    if phis > 2000:
+        raise DomainError(f"grid step {step!r} yields more than 4000 directions; too fine")
+    phis = max(0, math.ceil(phis))
+    # Polar angles i * step in [1e-12, pi/2 + 1e-12] take every azimuth,
+    # the equator only those up to pi - 1e-12.
+    east = sum(j * step <= math.pi - 1e-12 for j in range(phis))
+    thetas = itertools.takewhile(lambda th: th <= 0.5 * math.pi + 1e-12,
+                                 (i * step for i in itertools.count()))
+    rings = [(th, phis if th <= 0.5 * math.pi - 1e-12 else east) for th in thetas if th >= 1e-12]
+    n = 2 * (1 + sum(k for _, k in rings))
     if n > 4000:
         raise DomainError(f"grid step {step!r} yields {n} directions; too fine")
     upper = [np.array([0.0, 0.0, 1.0])]
-    for i in range(first, equator):
-        th = i * step
-        for ph in (j * step for j in range(phis if i < above else east)):
-            upper.append(np.array([math.sin(th) * math.cos(ph),
-                                   math.sin(th) * math.sin(ph),
-                                   math.cos(th)]))
+    upper += [np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
+              for th, k in rings for ph in (j * step for j in range(k))]
     upper = np.array(upper)
     return np.concatenate([upper, -upper])
 

@@ -228,7 +228,9 @@ def bound_wclass_sum_squares_spectral(w: WClassCoefficients,
 
     Evaluated literally as printed under variant="verbatim" (mixed-power
     products such as alpha*beta^2 kept as written); variant="corrected"
-    squares the odd factors.  Zero-vacuum states only.
+    squares the odd factors.  Zero-vacuum states only.  On FIG3's slice
+    (alpha = beta = 0, gamma^2 + delta^2 = 1) the corrected reading is
+    64(1 + 2 gamma^2 delta^2), bound_wclass_sum_squares there.
     """
     _check_variant(variant)
     _require_zero_vacuum(w)

@@ -183,6 +183,9 @@ class TestErrors:
         (["figure", "FIG4", "--variant", "corrected"], 2),
         (["tradeoff", "theorem1", "--state", GGHZ4, "--variant", "corrected"], 2),
         (["state", "--state", "[" * 100000], 2),
+        (["state", "--state", "[1, 2]"], 2),
+        (["bound", "--state", GGHZ4, "--reduce", "0,x,2"], 2),
+        (["reduce", "--state", GGHZ4, "--reduce", "0,4"], 2),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)

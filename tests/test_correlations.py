@@ -90,6 +90,8 @@ class TestCorrelationTensor:
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidArityError):
             correlation_tensor(maximally_mixed(2))
+        with pytest.raises(InvalidArityError):
+            CorrelationTensor3(np.zeros((3, 3)))
 
     def test_second_call_reuses_the_tensor(self, rng):
         # The maximizer and the 4*lambda1 bound of one reduction share it.

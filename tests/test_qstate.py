@@ -276,6 +276,10 @@ class TestDensity:
         with pytest.raises(NormalizationError):
             PureState(1, np.array([bad, 0.0]))
 
+    def test_pure_state_rejects_amplitudes_of_another_length(self):
+        with pytest.raises(InvalidArityError, match="expected 8 amplitudes for 3 qubits"):
+            PureState(3, np.ones(4) / 2)
+
 
 @pytest.fixture
 def full_checks(monkeypatch):
@@ -711,6 +715,7 @@ class TestStateSpec:
         '{"family":"WCLASS","alpha":"x","beta":0,"gamma":0,"delta":0,"lambda":1}',
         '{"family":["GGHZ"],"n":3,"theta":0}',
         '[1, 2]',
+        '{"n": 4}',
     ])
     def test_rejects_field_types(self, text):
         with pytest.raises(DomainError):

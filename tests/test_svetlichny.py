@@ -343,6 +343,8 @@ class TestMaximize:
         opts = OptimizerOptions(restarts=np.int64(8), seed=np.int64(3))
         best = maximize_svetlichny(ghz3(), opts)
         assert best == maximize_svetlichny(ghz3(), OptimizerOptions(restarts=8, seed=3))
+        # No options at all means the defaults.
+        assert maximize_svetlichny(w3()) == maximize_svetlichny(w3(), OptimizerOptions())
 
     def test_cold_and_warm_starts_agree(self):
         rho = w3()
@@ -773,11 +775,15 @@ class TestGridSearch:
         # At step pi/8 the poles and 7 latitudes of 16 azimuths.
         assert len(_grid_directions(math.pi / 8)) == 2 + 7 * 16
 
-    @pytest.mark.parametrize("step", [1e-4, 1e-9])
+    @pytest.mark.parametrize("step", [1e-4, 1e-9, 0.00315, 0.00314])
     def test_too_fine_a_step_is_refused_before_building_the_grid(self, step):
         # Building the ~2e9 directions of step 1e-4 would take about 40 min.
+        # Step 0.00315 has 1995 azimuths, so its grid is counted angle by
+        # angle; the others have more than 2000 and are refused at once.
+        count = "1987022" if step == 0.00315 else "more than 4000"
+        message = f"grid step {step!r} yields {count} directions; too fine$"
         start = time.perf_counter()
-        with pytest.raises(DomainError, match=r"yields \d+ directions; too fine"):
+        with pytest.raises(DomainError, match=message):
             svetlichny_grid_search(ghz3(), step)
         assert time.perf_counter() - start < 1.0
 

@@ -582,11 +582,14 @@ class TestSweepFigure:
             assert spectral == old[2]
 
     def test_fig3_columns(self):
-        cols, rows, converged = sweep_figure("FIG3", 41)
-        assert converged
-        assert cols == ("gamma", "sum_squares_bound", "spectral_bound")
-        for gamma, f, g in rows:
-            assert f <= g + 1e-9
+        for variant in ("verbatim", "corrected"):
+            cols, rows, converged = sweep_figure("FIG3", 41, variant=variant)
+            assert converged
+            assert cols == ("gamma", "sum_squares_bound", "spectral_bound")
+            for gamma, f, g in rows:
+                assert f <= g + 1e-9
+                # On the slice the corrected reading is 64(1 + 2 g^2 d^2) too.
+                assert variant == "verbatim" or abs(f - g) <= 1e-12
 
     def test_fig4_pairwise_equality_and_bound(self):
         cols, rows, converged = sweep_figure("FIG4", 3, FAST)
