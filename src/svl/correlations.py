@@ -111,10 +111,15 @@ def flatten_correlation_tensor(tensor: CorrelationTensor3) -> np.ndarray:
     return np.transpose(tensor.m, (1, 0, 2)).reshape(3, 9)
 
 
-def largest_singular_value(mat: np.ndarray) -> float:
-    # The Gram matrix is 3x3 symmetric, so a direct eigendecomposition is
-    # cheaper and more robust than a general SVD.
-    gram = mat @ mat.T
+def largest_singular_value(mat) -> float:
+    """Largest singular value of a 2-D real array-like, from the top
+    eigenvalue of its Gram matrix: cheaper and more robust than an SVD."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or not mat.size:
+        raise InvalidArityError(f"expected a 2-D matrix, got shape {mat.shape}")
+    if mat.dtype.kind not in "iuf" or not np.isfinite(mat).all():
+        raise DomainError("matrix entries must be finite real numbers")
+    gram = mat.astype(float) @ mat.T
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 

@@ -468,8 +468,8 @@ class StateSpec:
       {"family": "DICKE", "n": 4, "m": 3}
       {"family": "CUSTOM", "n": 3, "amplitudes": [[re, im], ...]}
 
-    Construction checks the family and field names; the family's builder
-    in _FAMILIES checks their values.  params are kept as given.
+    Construction checks the family and field names, _FAMILIES' builder
+    their values.  params is a copy of the mapping given, values as given.
     """
 
     family: str
@@ -480,6 +480,7 @@ class StateSpec:
     def __post_init__(self):
         if not isinstance(self.params, Mapping):
             raise DomainError(f"params must be a mapping, got {type(self.params).__name__}")
+        object.__setattr__(self, "params", dict(self.params))
         _check_fields(self.family, set(self.params), implicit={"n"})
         n = _integer("n", self.num_qubits)
         psi = _FAMILIES[self.family][1](n, self.params)

@@ -157,14 +157,6 @@ def _table(m: np.ndarray) -> np.ndarray:
     return table.reshape(18, 18, 18)
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of length 3, kept as an axis: the
-    products and sums of np.linalg.norm(x, axis=-1, keepdims=True), in its
-    order."""
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)[..., None]
-
-
 def _coefficients(table: np.ndarray, v: np.ndarray, party: int) -> np.ndarray:
     """Coefficient vectors of one party's two settings, the others fixed.
 
@@ -189,7 +181,7 @@ def _sweep(table: np.ndarray, v: np.ndarray):
     v = v.copy()
     for party in range(3):
         coef = _coefficients(table, v, party)
-        norm = _norm(coef)
+        norm = np.linalg.norm(coef, axis=-1, keepdims=True)
         pair = v[:, 2 * party:2 * party + 2]
         pair[...] = np.where(norm > _ZERO_COEFFICIENT,
                              coef / np.maximum(norm, _ZERO_COEFFICIENT), pair)
@@ -335,7 +327,7 @@ def _starts(seed: int, restarts: int) -> np.ndarray:
     """
     starts = np.array([np.random.default_rng(child).normal(size=(6, 3))
                        for child in np.random.SeedSequence(seed).spawn(restarts)])
-    starts /= _norm(starts)
+    starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
     starts.setflags(write=False)
     return starts
 

@@ -470,10 +470,13 @@ class TestDeterminism:
         assert (json.loads(out1)["settings"] != json.loads(out2)["settings"])
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "svl", "bound", "--state", GGHZ4,
-         "--reduce", "0,1,2"],
-        capture_output=True, text=True, timeout=120)
+@pytest.mark.parametrize("module", ["svl", "svl.cli"])
+def test_module_entry_point(module, capsys):
+    # Both modules run main(), so each prints what main() prints in process.
+    argv = ["bound", "--state", GGHZ4, "--reduce", "0,1,2"]
+    _, want, _ = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
+    assert proc.stdout == want
     assert json.loads(proc.stdout)["value"] == pytest.approx(4.0, abs=1e-12)

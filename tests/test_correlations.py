@@ -13,6 +13,7 @@ from svl import (
     chsh_max,
     correlation_tensor,
     flatten_correlation_tensor,
+    largest_singular_value,
     make_gghz,
     maximally_mixed,
     pair_correlation_matrix,
@@ -136,6 +137,27 @@ class TestFlattening:
         flat = flatten_correlation_tensor(correlation_tensor(ghz3()))
         assert np.linalg.svd(flat, compute_uv=False)[0] == pytest.approx(
             SQRT2, abs=1e-12)
+
+    def test_largest_singular_value_of_a_list_of_rows(self):
+        assert largest_singular_value([[1, 2], [3, 4]]) == pytest.approx(
+            5.464985704219043, abs=1e-15)
+
+    @pytest.mark.parametrize("mat, error", [
+        (np.ones(9), InvalidArityError),
+        (np.ones((3, 3, 3)), InvalidArityError),
+        (np.ones((0, 9)), InvalidArityError),
+        (5.0, InvalidArityError),
+        ([[1.0, np.nan]], DomainError),
+        ([[1.0, np.inf]], DomainError),
+        ([[1.0, -np.inf]], DomainError),
+        ([[1.0, 1j]], DomainError),
+        ([["a", "b"]], DomainError),
+        ([[True, False]], DomainError),
+        ([[None, 1.0]], DomainError),
+    ])
+    def test_largest_singular_value_rejects(self, mat, error):
+        with pytest.raises(error):
+            largest_singular_value(mat)
 
     def test_diagonal_reduction_singular_value(self):
         rho = reduce_pure(make_gghz(4, 0.0), (0, 1, 2))

@@ -30,7 +30,7 @@ from svl import (
 )
 from svl.svetlichny import (
     MAX_RESTARTS, _SIGN, _TERMS, _coefficients, _exact_directions,
-    _grid_directions, _newton_step, _norm, _schur, _seesaw, _starts, _sweep, _table,
+    _grid_directions, _newton_step, _schur, _seesaw, _starts, _sweep, _table,
 )
 from svl import correlations
 from svl.correlations import PAULIS, correlation_tensor
@@ -356,14 +356,6 @@ class TestMaximize:
         assert (cold.value, cold.converged, cold.evaluations) == (
             warm.value, warm.converged, warm.evaluations)
         assert cold.settings.angles().tobytes() == warm.settings.angles().tobytes()
-
-    def test_norm_matches_numpy_exactly(self, rng):
-        # Axis-aligned directions too, with exact and negative zeros.
-        v = rng.normal(size=(16, 6, 3))
-        v[0, :3] = np.eye(3)
-        v[1, :3] = -np.eye(3)
-        want = np.linalg.norm(v, axis=-1, keepdims=True)
-        assert _norm(v).tobytes() == want.tobytes()
 
     def test_stationary_restarts_converge_to_the_bound(self, monkeypatch):
         # Every see-saw sweep on a GGHZ reduction lands on directions whose

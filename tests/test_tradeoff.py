@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -547,6 +548,18 @@ class TestVerifyTradeoff:
         assert data["bound"] == "theorem1"
         assert data["satisfied"] is True
         assert len(data["per_reduction"]) == 4
+
+    def test_spec_keeps_its_own_params(self):
+        # The bound reads the spec's params after the state is built, so a
+        # caller's later edit to its mapping must reach neither.
+        params = {"theta": 0.3}
+        spec = StateSpec("GGHZ", 4, params)
+        params["theta"] = math.pi / 4
+        report = verify_tradeoff(spec, "theorem1", OptimizerOptions(restarts=2))
+        assert report.rhs == bound_gghz_sum(0.3)
+        assert report.satisfied
+        assert report.params == {"theta": 0.3}
+        assert pickle.loads(pickle.dumps(spec)).params == {"theta": 0.3}
 
 
 class TestSweepFigure:
