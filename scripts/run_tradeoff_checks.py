@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from svl import OptimizerOptions, StateSpec, verify_tradeoff
+from svl import DomainError, OptimizerOptions, StateSpec, verify_tradeoff
 
 
 def check(spec, bound, opts):
@@ -33,7 +33,12 @@ def main() -> int:
     ap.add_argument("--restarts", type=int, default=16)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
-    opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    if args.points < 1:
+        ap.error(f"argument --points: need at least 1, got {args.points}")
+    try:
+        opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    except DomainError as e:
+        ap.error(str(e))
 
     violated = 0
     for theta in np.linspace(0.0, math.pi / 2, args.points):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _derived
+from .qstate import DensityMatrix, _array, _derived
 
 __all__ = [
     "PAULIS",
@@ -42,7 +42,7 @@ _IMAG_TOL = 1e-10
 def _frozen_correlations(x, shape: tuple[int, ...], what: str) -> np.ndarray:
     """x as a read-only contiguous float array of the given shape, its
     entries in [-1, 1] (InvalidArityError, DomainError)."""
-    x = np.ascontiguousarray(x, dtype=float)
+    x = _array(x, float, f"correlation {what}")
     if x.shape != shape:
         raise InvalidArityError(f"expected a {'x'.join(map(str, shape))} {what}, "
                                 f"got shape {x.shape}")
@@ -94,10 +94,10 @@ def _pauli_traces(rho: DensityMatrix, k: int, what: str) -> np.ndarray:
 
 
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
-    """All 27 values Tr(rho sigma_i x sigma_j x sigma_k), kept in the memo
-    of rho's entries (qstate._memo): every call on the same checked array
+    """All 27 values Tr(rho sigma_i x sigma_j x sigma_k), kept in rho's
+    memo (qstate._derived): every call on rho, or on a keep of its class,
     returns the one tensor, with its one 4*lambda1 (_upper_bound)."""
-    return _derived(rho.entries, "tensor",
+    return _derived(rho, "tensor",
                     lambda: CorrelationTensor3(_pauli_traces(rho, 3, "tensor")))
 
 
@@ -114,7 +114,7 @@ def flatten_correlation_tensor(tensor: CorrelationTensor3) -> np.ndarray:
 def largest_singular_value(mat) -> float:
     """Largest singular value of a 2-D real array-like, from the top
     eigenvalue of its Gram matrix: cheaper and more robust than an SVD."""
-    mat = np.asarray(mat)
+    mat = _array(mat, None, "matrix")
     if mat.ndim != 2 or not mat.size:
         raise InvalidArityError(f"expected a 2-D matrix, got shape {mat.shape}")
     if mat.dtype.kind not in "iuf" or not np.isfinite(mat).all():

@@ -12,8 +12,7 @@ import functools
 import math
 import numbers
 import operator
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import comb
 from typing import Callable, Iterable, Mapping
 
@@ -74,6 +73,19 @@ def _bounded_int(name: str, x: object, low: int, high: float = math.inf,
     return k
 
 
+def _array(x, dtype, what: str) -> np.ndarray:
+    """x as a contiguous array of dtype (None: numpy's choice), else
+    InvalidArityError for a ragged x and DomainError for another entry."""
+    try:
+        return np.ascontiguousarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            np.asarray(x)
+        except ValueError:
+            raise InvalidArityError(f"{what} must form an array, got a ragged sequence") from None
+        raise DomainError(f"{what} must be numbers") from None
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -89,7 +101,7 @@ class PureState:
     def __post_init__(self):
         n = _bounded_int("num_qubits", self.num_qubits, 1, MAX_QUBITS, InvalidArityError)
         object.__setattr__(self, "num_qubits", n)
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = _array(self.amplitudes, complex, "amplitudes")
         if amps.shape != (2**self.num_qubits,):
             raise InvalidArityError(
                 f"expected {2**self.num_qubits} amplitudes for "
@@ -107,9 +119,9 @@ class PureState:
         return type(self), (self.num_qubits, self.amplitudes)
 
     @functools.cached_property
-    def _classes(self) -> tuple[tuple[int, ...], dict[tuple[int, ...], np.ndarray]]:
-        """The run starts of the state and its frozen reduced matrices,
-        keyed by class representative."""
+    def _classes(self) -> tuple[tuple[int, ...], dict[tuple[int, ...], DensityMatrix]]:
+        """The run starts of the state and the reduced matrix of each
+        class's first keep, keyed by class representative."""
         return _run_starts(self), {}
 
 
@@ -118,34 +130,34 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
 
     The entries are stored read-only: a contiguous complex array given as
-    entries is frozen in place, anything else is copied first.  A later
-    DensityMatrix on an array that passed the full checks and has a memo
-    (_memo) checks only the qubit count and the shape.  Writing to a
-    checked array (after setflags(write=True), or through a writeable view
-    taken before it was frozen) and freezing it again is unsupported.
+    entries is frozen in place, anything else is copied first.  A matrix
+    passes the full checks and gets its own memo (_derived), unless
+    reduce_pure hands it a class's checked entries and memo (_shared).
+    Writing to a checked array (through setflags or a view taken before
+    the freeze) and freezing it again is unsupported.
     """
 
     num_qubits: int
     entries: np.ndarray
+    _shared: InitVar[dict | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _shared):
         n = _bounded_int("num_qubits", self.num_qubits, 1, MAX_QUBITS, InvalidArityError)
         object.__setattr__(self, "num_qubits", n)
         dim = 2**self.num_qubits
-        mat = np.ascontiguousarray(self.entries, dtype=complex)
+        mat = _array(self.entries, complex, "entries")
         if mat.shape != (dim, dim):
             raise InvalidArityError(
                 f"expected a {dim}x{dim} matrix for {self.num_qubits} qubits, "
                 f"got shape {mat.shape}"
             )
-        if _memo(mat) is None:
+        if _shared is None or mat.flags.writeable:
             _check_density(mat)
             _freeze(mat)
-            if mat.base is None:
-                key = id(mat)
-                _MEMOS[key] = weakref.ref(mat), {}
-                weakref.finalize(mat, _MEMOS.pop, key, None).atexit = False
+            _shared = {}
         object.__setattr__(self, "entries", mat)
+        # Not under the InitVar's name: dataclasses.replace would pass it on.
+        object.__setattr__(self, "_memo", _shared)
 
     def __reduce__(self):
         # As for PureState: unpickling checks and freezes the copy again.
@@ -168,39 +180,17 @@ def _check_density(mat: np.ndarray) -> None:
             raise DomainError("matrix has a negative eigenvalue beyond tolerance")
 
 
-# id(entries) -> (weak reference to entries, memo) for every array that
-# owns its data and passed DensityMatrix's full checks (_memo).
-_MEMOS: dict[int, tuple[weakref.ref, dict]] = {}
-
-
-def _memo(entries: np.ndarray) -> dict | None:
-    """The memo of a checked array that is still read-only, else None.
-
-    The one cache of what a matrix alone determines: its tensor with its
-    4*lambda1 (correlation_tensor) and its closed-form settings or their
-    refusal (maximize_svetlichny), each built once through _derived.  An
-    array that owns its data gets a memo when it passes DensityMatrix's
-    full checks, which a later DensityMatrix on it skips, so each distinct
-    matrix pays once, in any order of calls.  The memo is keyed by id,
-    confirmed by a weak reference and dropped with the array.  A copy gets
-    its own; a view (its base can change it) and an array made writeable
-    again get none, and pay in full on every call.
-    """
-    found = _MEMOS.get(id(entries))
-    if found is None or found[0]() is not entries or entries.flags.writeable:
-        return None
-    return found[1]
-
-
-def _derived(entries: np.ndarray, key: str, build: Callable[[], object]):
-    """memo[key] of entries' memo (_memo), built by build() and kept on
-    the first call; built on every call for entries without a memo."""
-    memo = _memo(entries)
-    if memo is None:
+def _derived(rho: DensityMatrix, key: str, build: Callable[[], object]):
+    """rho's memo[key], built by build() on the first call: the one cache
+    of what a matrix alone determines, its tensor with its 4*lambda1
+    (correlation_tensor) and its closed form or its refusal
+    (maximize_svetlichny), shared by the keeps of a class (reduce_pure).
+    A view or an array made writeable again builds on every call."""
+    if rho.entries.base is not None or rho.entries.flags.writeable:
         return build()
-    if key not in memo:  # a kept None counts
-        memo[key] = build()
-    return memo[key]
+    if key not in rho._memo:  # a kept None counts
+        rho._memo[key] = build()
+    return rho._memo[key]
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -321,7 +311,7 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     representative; the symmetry is found on a state's first reduction,
     and the state keeps it and the matrices (PureState._classes).  Each
     call returns a new DensityMatrix, but the keeps of a class share its
-    read-only entries and so their memo (_memo).
+    read-only entries and their memo (_derived), checked once.
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
@@ -330,10 +320,11 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
         return DensityMatrix(len(kept), _reduce(psi, kept))
     start, reduced = psi._classes
     rep = _representative(kept, start)
-    rho = reduced.get(rep)
-    if rho is None:
-        rho = reduced[rep] = _freeze(_reduce(psi, rep))
-    return DensityMatrix(len(kept), rho)
+    first = reduced.get(rep)
+    if first is None:
+        first = reduced[rep] = DensityMatrix(len(kept), _reduce(psi, rep))
+        return first
+    return DensityMatrix(len(kept), first.entries, _shared=first._memo)
 
 
 def _reduce(psi: PureState, kept: tuple[int, ...]) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .correlations import PAULIS, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _bounded_int, _derived, _finite
+from .qstate import DensityMatrix, _array, _bounded_int, _derived, _finite
 
 __all__ = [
     "BlochVector",
@@ -52,7 +52,7 @@ class BlochVector:
 
     @classmethod
     def from_cartesian(cls, v) -> "BlochVector":
-        v = np.asarray(v, dtype=float)
+        v = _array(v, float, "direction")
         if v.shape != (3,):
             raise InvalidArityError(f"direction needs 3 components, got shape {v.shape}")
         norm = np.linalg.norm(v)
@@ -457,8 +457,8 @@ def maximize_svetlichny(rho: DensityMatrix,
     if svetlichny_value on them is within _EXACT_TOL of 4*lambda1, which
     proves them optimal; the result then reads converged True and
     evaluations 0, and does not depend on opts (no start is drawn).  The
-    settings, or their refusal, are kept in the memo of rho's entries
-    (qstate._memo) beside the tensor, so a later call on the same entries
+    settings, or their refusal, are kept in rho's memo (qstate._derived)
+    beside the tensor, so a later call on rho, or on a keep of its class,
     pays only the svetlichny_value check, which every call runs.
 
     See-saw: the value is linear in each party's pair of settings, so
@@ -482,7 +482,7 @@ def maximize_svetlichny(rho: DensityMatrix,
         v = _exact_directions(tensor, bound)
         return None if v is None else _settings(v)
 
-    settings = _derived(rho.entries, "closed form", closed_form)
+    settings = _derived(rho, "closed form", closed_form)
     if settings is not None:
         value = svetlichny_value(rho, settings)
         if abs(value - bound) <= _EXACT_TOL:
@@ -589,8 +589,8 @@ def lagrange_max(u, v) -> float:
     The constraint is sum(x_j^2 + y_j^2) = 1; the maximum is the
     Euclidean norm of the stacked coefficient vector.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = _array(u, float, "coefficients")
+    v = _array(v, float, "coefficients")
     if u.shape != (4,) or v.shape != (4,):
         raise InvalidArityError("coefficient arrays must each have length 4")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):

@@ -348,8 +348,8 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     reading for raises DomainError.  Optimizer non-convergence is flagged
     on the report, not raised.  The reductions are maximized and listed
     in combinations order; the keeps of one symmetry class share one
-    matrix, which pays for its checks, tensor and closed form once
-    (qstate._memo).
+    matrix and its memo, which pay for its checks, tensor and closed form
+    once (qstate._derived).
     """
     if bound not in BOUND_NAMES:
         raise DomainError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")

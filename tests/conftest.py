@@ -148,10 +148,11 @@ def rng():
 
 
 def drop_memos(monkeypatch):
-    """Start every matrix's memo (svl.qstate._MEMOS) afresh, until
-    monkeypatch undoes it: the next DensityMatrix on any array is checked
-    in full and gets a new tensor and a new closed form."""
-    monkeypatch.setattr("svl.qstate._MEMOS", {})
+    """Read and keep no matrix memo (svl.qstate._derived), until
+    monkeypatch undoes it: every call builds its tensor and its closed
+    form afresh."""
+    for module in ("svl.correlations", "svl.svetlichny"):
+        monkeypatch.setattr(f"{module}._derived", lambda rho, key, build: build())
 
 
 @pytest.fixture

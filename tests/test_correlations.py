@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svl import (
+    BlochVector,
     CorrelationMatrix2,
     CorrelationTensor3,
     DomainError,
@@ -13,6 +14,7 @@ from svl import (
     chsh_max,
     correlation_tensor,
     flatten_correlation_tensor,
+    lagrange_max,
     largest_singular_value,
     make_gghz,
     maximally_mixed,
@@ -158,6 +160,23 @@ class TestFlattening:
     def test_largest_singular_value_rejects(self, mat, error):
         with pytest.raises(error):
             largest_singular_value(mat)
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: largest_singular_value([[1, 2], [3]]), InvalidArityError),
+        (lambda: PureState(1, [[1], 0]), InvalidArityError),
+        (lambda: DensityMatrix(1, [[0.5, 0], [0]]), InvalidArityError),
+        (lambda: CorrelationTensor3([[[1]], [[1, 2]]]), InvalidArityError),
+        (lambda: CorrelationMatrix2([[1, 2], [3]]), InvalidArityError),
+        (lambda: lagrange_max([1, 2, 3, [4]], [0] * 4), InvalidArityError),
+        (lambda: BlochVector.from_cartesian([1, [0], 0]), InvalidArityError),
+        (lambda: DensityMatrix(1, [["x", 0], [0, 0.5]]), DomainError),
+        (lambda: PureState(1, [object(), 1]), DomainError),
+        (lambda: CorrelationMatrix2([[{}] * 3] * 3), DomainError),
+        (lambda: lagrange_max([10**400, 0, 0, 0], [0] * 4), DomainError),
+    ])
+    def test_array_input_errors_are_typed(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_diagonal_reduction_singular_value(self):
         rho = reduce_pure(make_gghz(4, 0.0), (0, 1, 2))

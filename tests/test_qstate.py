@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -292,17 +293,43 @@ def full_checks(monkeypatch):
 
 
 class TestCheckMemo:
-    def test_rewrapped_checked_array_skips_the_checks(self, full_checks, rng):
+    def test_rewrapped_checked_array_is_checked_in_full(self, full_checks, rng):
+        # A second DensityMatrix on a checked array shares nothing with the
+        # first: it is checked again and keeps its own tensor.
         rho = DensityMatrix(3, random_density_entries(3, rng))
         assert len(full_checks) == 1
         again = DensityMatrix(3, rho.entries)
         assert again.entries is rho.entries
-        assert len(full_checks) == 1
-        # The qubit count and the shape are still checked.
+        assert len(full_checks) == 2
+        assert correlation_tensor(again) is correlation_tensor(again)
+        assert correlation_tensor(again) is not correlation_tensor(rho)
+        # The qubit count and the shape are checked first.
         for n in (0, 2, 4):
             with pytest.raises(InvalidArityError):
                 DensityMatrix(n, rho.entries)
-        assert len(full_checks) == 1
+        assert len(full_checks) == 2
+
+    def test_replace_and_pickle_are_checked_in_full_with_a_memo_of_their_own(
+            self, full_checks, rng):
+        rho = reduce_pure(PureState(5, random_pure(5, rng)), (0, 2, 4))
+        other = random_density_entries(3, rng)
+        tensor = correlation_tensor(rho)
+        for build in (lambda: dataclasses.replace(rho, entries=other),
+                      lambda: dataclasses.replace(rho),
+                      lambda: pickle.loads(pickle.dumps(rho))):
+            checked = len(full_checks)
+            copy = build()
+            assert len(full_checks) == checked + 1
+            assert copy._memo is not rho._memo
+            assert correlation_tensor(copy) is not tensor
+        # The replaced entries own their data, so their memo keeps a tensor.
+        replaced = dataclasses.replace(rho)
+        assert correlation_tensor(replaced) is correlation_tensor(replaced)
+        swapped = correlation_tensor(dataclasses.replace(rho, entries=other))
+        fresh = correlation_tensor(DensityMatrix(3, other.copy()))
+        assert swapped.m.tobytes() == fresh.m.tobytes() != tensor.m.tobytes()
+        with pytest.raises(TypeError):
+            DensityMatrix(3, rho.entries, {})
 
     @pytest.mark.parametrize("keeps, classes", [
         (list(itertools.combinations(range(7), 3)), 2),
@@ -345,6 +372,16 @@ class TestCheckMemo:
         with pytest.raises(DomainError, match=message):
             DensityMatrix(3, entries)
 
+    def test_later_keep_of_entries_made_writeable_again_is_checked_in_full(
+            self, full_checks):
+        psi = make_gghz(6, 0.4)
+        first = reduce_pure(psi, (0, 1, 2))
+        first.entries.setflags(write=True)
+        first.entries[0, 7] += 0.25
+        with pytest.raises(DomainError, match="Hermitian"):
+            reduce_pure(psi, (3, 4, 5))
+        assert len(full_checks) == 2
+
     def test_view_is_checked_in_full(self, full_checks):
         # Freezing a view leaves its base writeable, so the data can still
         # change: a view gets no memo.
@@ -359,30 +396,24 @@ class TestCheckMemo:
         assert len(full_checks) == 2
 
     def test_memo_entries_leave_with_their_matrix(self, rng):
-        gc.collect()
-        baseline = len(qstate._MEMOS)
         rhos = [DensityMatrix(3, random_density_entries(3, rng)) for _ in range(1000)]
-        for rho in rhos:
-            correlation_tensor(rho)
-        assert len(qstate._MEMOS) == baseline + 1000
-        last = weakref.ref(rhos[-1].entries)
-        del rhos, rho
+        tensors = [weakref.ref(correlation_tensor(rho)) for rho in rhos]
+        assert all(t() is correlation_tensor(rho) for t, rho in zip(tensors, rhos))
+        del rhos
         gc.collect()
-        assert last() is None
-        assert len(qstate._MEMOS) == baseline
+        assert all(t() is None for t in tensors)
 
     def test_memo_entries_leave_with_their_state(self, rng):
-        gc.collect()
-        baseline = len(qstate._MEMOS)
         psi = PureState(12, random_pure(12, rng))
-        for keep in itertools.combinations(range(12), 3):
-            correlation_tensor(reduce_pure(psi, keep))
-        assert len(qstate._MEMOS) == baseline + 220
+        tensors = [weakref.ref(correlation_tensor(reduce_pure(psi, keep)))
+                   for keep in itertools.combinations(range(12), 3)]
+        # The state keeps the 220 classes' matrices, and so their tensors.
+        assert len({id(t()) for t in tensors if t() is not None}) == 220
         dropped = weakref.ref(psi)
         del psi
         gc.collect()
         assert dropped() is None
-        assert len(qstate._MEMOS) == baseline
+        assert all(t() is None for t in tensors)
 
 
 class TestPartialTrace:

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import svl
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -41,3 +43,13 @@ def test_make_figures_has_no_fig4_points_option(tmp_path):
                       "--fig4-points", "3")
     assert proc.returncode == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [("--restarts", "0"), ("--seed", "-1"),
+                                  ("--points", "-3"), ("--points", "0")], ids=" ".join)
+def test_run_tradeoff_checks_rejects_bad_arguments(tmp_path, argv):
+    proc = run_script(tmp_path, "run_tradeoff_checks.py", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("run_tradeoff_checks.py: error: ")
