@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _array, _derived
+from .qstate import DensityMatrix, _array, _derived, _immutable
 
 __all__ = [
     "PAULIS",
@@ -33,23 +33,21 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-PAULIS.setflags(write=False)
+PAULIS = _immutable(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 
 _IMAG_TOL = 1e-10
 
 
 def _frozen_correlations(x, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """x as a read-only contiguous float array of the given shape, its
-    entries in [-1, 1] (InvalidArityError, DomainError)."""
+    """x as an immutable float array (qstate._immutable) of the given
+    shape, its entries in [-1, 1] (InvalidArityError, DomainError)."""
     x = _array(x, float, f"correlation {what}")
     if x.shape != shape:
         raise InvalidArityError(f"expected a {'x'.join(map(str, shape))} {what}, "
                                 f"got shape {x.shape}")
     if not np.max(np.abs(x)) <= 1.0 + _IMAG_TOL:
         raise DomainError(f"correlation {what} entries must lie in [-1, 1]")
-    x.setflags(write=False)
-    return x
+    return _immutable(x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,14 +86,17 @@ def _array(x, dtype, what: str) -> np.ndarray:
         raise DomainError(f"{what} must be numbers") from None
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _immutable(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a over bytes, which setflags cannot unfreeze."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized n-qubit state vector."""
+    """Normalized n-qubit state vector.
+
+    A caller's contiguous complex amplitudes are frozen in place, not
+    copied: a second state-sized buffer costs page faults from 14 qubits up."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -111,7 +114,8 @@ class PureState:
             raise NormalizationError(
                 f"amplitudes have norm {np.linalg.norm(amps)!r}, expected 1"
             )
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     def __reduce__(self):
         # Unpickling rebuilds through the constructor, so the copy is
@@ -129,12 +133,10 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
 
-    The entries are stored read-only: a contiguous complex array given as
-    entries is frozen in place, anything else is copied first.  A matrix
-    passes the full checks and gets its own memo (_derived), unless
-    reduce_pure hands it a class's checked entries and memo (_shared).
-    Writing to a checked array (through setflags or a view taken before
-    the freeze) and freezing it again is unsupported.
+    A matrix passes the full checks on the array given, keeps an
+    immutable copy of it (_immutable) and gets its own memo (_derived),
+    unless reduce_pure hands it a class's checked entries and memo
+    (_shared).  The caller's array is left as it is.
     """
 
     num_qubits: int
@@ -151,16 +153,15 @@ class DensityMatrix:
                 f"expected a {dim}x{dim} matrix for {self.num_qubits} qubits, "
                 f"got shape {mat.shape}"
             )
-        if _shared is None or mat.flags.writeable:
+        if _shared is None:
             _check_density(mat)
-            _freeze(mat)
-            _shared = {}
+            mat, _shared = _immutable(mat), {}
         object.__setattr__(self, "entries", mat)
         # Not under the InitVar's name: dataclasses.replace would pass it on.
         object.__setattr__(self, "_memo", _shared)
 
     def __reduce__(self):
-        # As for PureState: unpickling checks and freezes the copy again.
+        # As for PureState: unpickling checks the copy again, with a new memo.
         return type(self), (self.num_qubits, self.entries)
 
 
@@ -184,10 +185,7 @@ def _derived(rho: DensityMatrix, key: str, build: Callable[[], object]):
     """rho's memo[key], built by build() on the first call: the one cache
     of what a matrix alone determines, its tensor with its 4*lambda1
     (correlation_tensor) and its closed form or its refusal
-    (maximize_svetlichny), shared by the keeps of a class (reduce_pure).
-    A view or an array made writeable again builds on every call."""
-    if rho.entries.base is not None or rho.entries.flags.writeable:
-        return build()
+    (maximize_svetlichny), shared by the keeps of a class (reduce_pure)."""
     if key not in rho._memo:  # a kept None counts
         rho._memo[key] = build()
     return rho._memo[key]
@@ -200,10 +198,13 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps / norm
 
 
-def _finite(name: str, x: object) -> None:
-    """DomainError unless x is a finite real number (numpy too, not a bool)."""
-    if not math.isfinite(_real(name, x)):
+def _finite(name: str, x: object) -> float:
+    """x as a float if it is a finite real number (numpy too, not a bool),
+    else DomainError."""
+    value = _real(name, x)
+    if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {x!r}")
+    return value
 
 
 def make_gghz(n: int, theta: float) -> PureState:
@@ -311,7 +312,7 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     representative; the symmetry is found on a state's first reduction,
     and the state keeps it and the matrices (PureState._classes).  Each
     call returns a new DensityMatrix, but the keeps of a class share its
-    read-only entries and their memo (_derived), checked once.
+    immutable entries and their memo (_derived), checked once.
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)

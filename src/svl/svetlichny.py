@@ -20,7 +20,7 @@ import numpy as np
 
 from .correlations import PAULIS, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _array, _bounded_int, _derived, _finite
+from .qstate import DensityMatrix, _array, _bounded_int, _derived, _finite, _immutable
 
 __all__ = [
     "BlochVector",
@@ -41,8 +41,8 @@ class BlochVector:
     phi: float = 0.0
 
     def __post_init__(self):
-        _finite("theta", self.theta)
-        _finite("phi", self.phi)
+        object.__setattr__(self, "theta", _finite("theta", self.theta))
+        object.__setattr__(self, "phi", _finite("phi", self.phi))
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -85,14 +85,12 @@ class SvetlichnySettings:
     @functools.cached_property
     def _observables(self) -> np.ndarray:
         """The observables of a, a', b + b', b - b', c and c' that
-        svetlichny_value contracts, as three read-only (2, 2, 2) pairs:
+        svetlichny_value contracts, as three immutable (2, 2, 2) pairs:
         built once per settings, so a kept closed form reuses them."""
         a, ap, b, bp, c, cp = (v.cartesian for v in (self.a, self.a_p, self.b,
                                                      self.b_p, self.c, self.c_p))
         obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
-        obs = obs.reshape(3, 2, 2, 2)
-        obs.setflags(write=False)
-        return obs
+        return _immutable(obs.reshape(3, 2, 2, 2))
 
 
 # S in the four terms of the module docstring, with D = B + B' and
@@ -314,8 +312,9 @@ class OptimizerOptions:
     seed: int = 42
 
     def __post_init__(self):
-        _bounded_int("restarts", self.restarts, 1, MAX_RESTARTS)
-        _bounded_int("seed", self.seed, 0)
+        object.__setattr__(self, "restarts",
+                           _bounded_int("restarts", self.restarts, 1, MAX_RESTARTS))
+        object.__setattr__(self, "seed", _bounded_int("seed", self.seed, 0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -323,13 +322,12 @@ def _starts(seed: int, restarts: int) -> np.ndarray:
     """Unit-vector starts (restarts, 6, 3) of maximize_svetlichny.
 
     Restart k draws from a generator seeded by (seed, k), so a longer list
-    extends a shorter one.  Cached per (seed, restarts) and read-only.
+    extends a shorter one.  Cached per (seed, restarts) and immutable.
     """
     starts = np.array([np.random.default_rng(child).normal(size=(6, 3))
                        for child in np.random.SeedSequence(seed).spawn(restarts)])
     starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
-    starts.setflags(write=False)
-    return starts
+    return _immutable(starts)
 
 
 @dataclass(frozen=True)

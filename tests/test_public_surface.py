@@ -91,3 +91,6 @@ def test_counts_accept_numpy_integers(entry):
     out = COUNTS[entry][1](np.int64(4))
     if hasattr(out, "num_qubits"):
         assert type(out.num_qubits) is int
+    if isinstance(out, svl.OptimizerOptions):
+        assert type(out.restarts) is int
+        assert type(out.seed) is int

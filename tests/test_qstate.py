@@ -31,8 +31,10 @@ from svl import (
     to_density,
 )
 from svl import qstate
+from svl.correlations import PAULIS, CorrelationMatrix2, CorrelationTensor3
 from svl.errors import DomainError
 from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
+from svl.svetlichny import BlochVector, SvetlichnySettings, _starts
 
 from conftest import (
     oracle_reduce_pure,
@@ -292,6 +294,15 @@ def full_checks(monkeypatch):
     return checked
 
 
+def later_keep(psi, first, keep):
+    """reduce_pure(psi, keep) after reduce_pure(psi, first), which shares
+    its entries when the keeps are of one class."""
+    rho = reduce_pure(psi, first)
+    later = reduce_pure(psi, keep)
+    assert later.entries is rho.entries
+    return later
+
+
 class TestCheckMemo:
     def test_rewrapped_checked_array_is_checked_in_full(self, full_checks, rng):
         # A second DensityMatrix on a checked array shares nothing with the
@@ -299,7 +310,8 @@ class TestCheckMemo:
         rho = DensityMatrix(3, random_density_entries(3, rng))
         assert len(full_checks) == 1
         again = DensityMatrix(3, rho.entries)
-        assert again.entries is rho.entries
+        assert again.entries is not rho.entries
+        assert again.entries.tobytes() == rho.entries.tobytes()
         assert len(full_checks) == 2
         assert correlation_tensor(again) is correlation_tensor(again)
         assert correlation_tensor(again) is not correlation_tensor(rho)
@@ -322,9 +334,11 @@ class TestCheckMemo:
             assert len(full_checks) == checked + 1
             assert copy._memo is not rho._memo
             assert correlation_tensor(copy) is not tensor
-        # The replaced entries own their data, so their memo keeps a tensor.
+        # Each copy's memo keeps its tensor.
         replaced = dataclasses.replace(rho)
         assert correlation_tensor(replaced) is correlation_tensor(replaced)
+        back = pickle.loads(pickle.dumps(rho))
+        assert correlation_tensor(back) is correlation_tensor(back)
         swapped = correlation_tensor(dataclasses.replace(rho, entries=other))
         fresh = correlation_tensor(DensityMatrix(3, other.copy()))
         assert swapped.m.tobytes() == fresh.m.tobytes() != tensor.m.tobytes()
@@ -354,46 +368,53 @@ class TestCheckMemo:
         assert twin.entries is not rho.entries
         assert len(full_checks) == 2
 
-    @pytest.mark.parametrize("spoil, message", [
-        (lambda a: a.__setitem__((2, 2), math.nan), "non-finite"),
-        (lambda a: a.__setitem__((0, 1), a[0, 1] + 0.25), "Hermitian"),
-        (lambda a: a.__setitem__((3, 3), a[3, 3] + 0.5), "trace"),
-    ])
-    def test_array_made_writeable_again_is_checked_in_full(self, full_checks, rng,
-                                                           spoil, message):
-        rho = reduce_pure(PureState(5, random_pure(5, rng)), (0, 2, 4))
-        entries = rho.entries
-        entries.setflags(write=True)
-        DensityMatrix(3, entries)  # unchanged: checked again, and frozen again
-        assert len(full_checks) == 2
-        assert not entries.flags.writeable
-        entries.setflags(write=True)
-        spoil(entries)
-        with pytest.raises(DomainError, match=message):
-            DensityMatrix(3, entries)
+    @pytest.mark.parametrize("kept", [
+        lambda: DensityMatrix(3, np.eye(8) / 8).entries,
+        lambda: later_keep(make_gghz(6, 0.4), (0, 1, 2), (3, 4, 5)).entries,
+        lambda: CorrelationTensor3(np.zeros((3, 3, 3))).m,
+        lambda: CorrelationMatrix2(np.eye(3)).t,
+        lambda: PAULIS,
+        lambda: SvetlichnySettings(*[BlochVector(0.3, 0.2)] * 6)._observables,
+        lambda: _starts(5, 4),
+    ], ids=["DensityMatrix", "later keep", "CorrelationTensor3", "CorrelationMatrix2",
+            "PAULIS", "observables", "starts"])
+    def test_kept_arrays_cannot_be_made_writeable(self, kept):
+        with pytest.raises(ValueError):
+            kept().setflags(write=True)
 
-    def test_later_keep_of_entries_made_writeable_again_is_checked_in_full(
-            self, full_checks):
-        psi = make_gghz(6, 0.4)
-        first = reduce_pure(psi, (0, 1, 2))
-        first.entries.setflags(write=True)
-        first.entries[0, 7] += 0.25
-        with pytest.raises(DomainError, match="Hermitian"):
-            reduce_pure(psi, (3, 4, 5))
-        assert len(full_checks) == 2
+    @pytest.mark.parametrize("build, given", [
+        (lambda a: DensityMatrix(3, a).entries, lambda: np.eye(8, dtype=complex) / 8),
+        (lambda a: CorrelationTensor3(a).m, lambda: np.full((3, 3, 3), 0.5)),
+        (lambda a: CorrelationMatrix2(a).t, lambda: np.full((3, 3), 0.5)),
+    ], ids=["DensityMatrix", "CorrelationTensor3", "CorrelationMatrix2"])
+    def test_callers_array_is_copied_and_left_writeable(self, build, given):
+        a = given()
+        kept = build(a)
+        assert a.flags.writeable
+        want = kept.tobytes()
+        a.flat[1] = 0.25
+        assert kept.tobytes() == want
 
-    def test_view_is_checked_in_full(self, full_checks):
-        # Freezing a view leaves its base writeable, so the data can still
-        # change: a view gets no memo.
+    def test_pure_state_freezes_the_callers_amplitudes(self):
+        # The one exception: the state-sized amplitudes are not copied.
+        a = make_gghz(4, 0.4).amplitudes.copy()
+        psi = PureState(4, a)
+        assert psi.amplitudes is a
+        assert not a.flags.writeable
+
+    def test_view_is_copied(self, full_checks):
         base = np.zeros((2, 8, 8), dtype=complex)
         base[0] = np.eye(8) / 8
         view = base[0]
-        DensityMatrix(3, view)
-        assert not view.flags.writeable
+        rho = DensityMatrix(3, view)
+        assert view.flags.writeable
+        tensor = correlation_tensor(rho)
+        assert correlation_tensor(rho) is tensor
+        entries, m = rho.entries.tobytes(), tensor.m.tobytes()
         base[0, 0, 1] = 0.5
-        with pytest.raises(DomainError, match="Hermitian"):
-            DensityMatrix(3, view)
-        assert len(full_checks) == 2
+        assert rho.entries.tobytes() == entries
+        assert correlation_tensor(rho).m.tobytes() == m
+        assert len(full_checks) == 1
 
     def test_memo_entries_leave_with_their_matrix(self, rng):
         rhos = [DensityMatrix(3, random_density_entries(3, rng)) for _ in range(1000)]

@@ -1,7 +1,11 @@
 """The scripts in scripts/, run as their own processes."""
 
+import contextlib
+import io
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,13 +13,19 @@ import pytest
 
 import svl
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(cwd, *argv):
+    return run(cwd, str(SCRIPTS / argv[0]), *argv[1:])
+
+
+def run(cwd, *argv):
+    """python argv in cwd, with svl importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svl.__file__)))
-    return subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+    return subprocess.run([sys.executable, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
 
 
@@ -53,3 +63,21 @@ def test_run_tradeoff_checks_rejects_bad_arguments(tmp_path, argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("run_tradeoff_checks.py: error: ")
+
+
+def test_readme_examples_run(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    [library] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(library, {})
+    printed = out.getvalue().split()
+    assert len(printed) == 2
+    assert all(value.startswith("5.65685424949") for value in printed)
+    examples = re.search(r"Examples:\n\n```\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in examples.splitlines()]
+    assert len(commands) == 4 and all(argv[0] == "svl" for argv in commands)
+    for argv in commands:
+        proc = run(tmp_path, "-m", "svl", *argv[1:])
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert len((tmp_path / "fig1.csv").read_text().splitlines()) == 92
