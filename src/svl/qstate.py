@@ -9,6 +9,7 @@ construction and every operation here is a pure function.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -59,8 +60,8 @@ def _bounded_int(name: str, x: object, low: int, high: float = math.inf,
                  error: type[Exception] = DomainError) -> int:
     """x as an int if it is an integer (numpy too, not a bool) in [low, high].
 
-    Built on operator.index, not numbers.Integral: the ABC check makes
-    _check_keep, run on every reduce_pure, 2.5 times slower.
+    Built on operator.index, not numbers.Integral, whose ABC check is
+    2.5 times slower.
     """
     try:
         k = operator.index(x)
@@ -135,8 +136,9 @@ class DensityMatrix:
 
     A matrix passes the full checks on the array given, keeps an
     immutable copy of it (_immutable) and gets its own memo (_derived),
-    unless reduce_pure hands it a class's checked entries and memo
-    (_shared).  The caller's array is left as it is.
+    unless reduce_pure hands it the count, the immutable checked entries
+    and the memo of a class's first keep (_shared, private): then it
+    checks nothing again.  The caller's array is left as it is.
     """
 
     num_qubits: int
@@ -144,6 +146,10 @@ class DensityMatrix:
     _shared: InitVar[dict | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, _shared):
+        # Not under the InitVar's name: dataclasses.replace would pass it on.
+        if _shared is not None:
+            object.__setattr__(self, "_memo", _shared)
+            return
         n = _bounded_int("num_qubits", self.num_qubits, 1, MAX_QUBITS, InvalidArityError)
         object.__setattr__(self, "num_qubits", n)
         dim = 2**self.num_qubits
@@ -153,12 +159,9 @@ class DensityMatrix:
                 f"expected a {dim}x{dim} matrix for {self.num_qubits} qubits, "
                 f"got shape {mat.shape}"
             )
-        if _shared is None:
-            _check_density(mat)
-            mat, _shared = _immutable(mat), {}
-        object.__setattr__(self, "entries", mat)
-        # Not under the InitVar's name: dataclasses.replace would pass it on.
-        object.__setattr__(self, "_memo", _shared)
+        _check_density(mat)
+        object.__setattr__(self, "entries", _immutable(mat))
+        object.__setattr__(self, "_memo", {})
 
     def __reduce__(self):
         # As for PureState: unpickling checks the copy again, with a new memo.
@@ -288,23 +291,33 @@ def maximally_mixed(n: int) -> DensityMatrix:
 
 
 def _check_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
+    """keep as a tuple of ints, read up to its (n + 1)-th entry, else
+    IndexError: a valid keep has at most n, strictly increasing in [0, n)."""
     try:
         qubits = iter(keep)
     except TypeError:
         raise IndexError("keep must be an iterable of qubit indices, "
                          f"got {type(keep).__name__}") from None
+    qubits = tuple(itertools.islice(qubits, n + 1))
+    try:
+        kept = tuple(map(operator.index, qubits))
+    except TypeError:
+        kept = ()
+    if (kept and bool not in map(type, qubits) and 0 <= kept[0] and kept[-1] < n
+            and all(map(operator.lt, kept, kept[1:]))):
+        return kept
+    # An invalid keep: the checks entry by entry name the first fault.
     kept = tuple(_bounded_int("kept qubit index", q, 0, n - 1, IndexError) for q in qubits)
     if not kept:
         raise IndexError("keep must be nonempty")
-    if any(a >= b for a, b in zip(kept, kept[1:])):
-        raise IndexError(f"kept qubit indices must be strictly increasing, got {kept}")
-    return kept
+    raise IndexError(f"kept qubit indices must be strictly increasing, got {kept}")
 
 
 def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix of |psi><psi| on the kept qubits.
 
-    Kept qubits stay in their original order.  The full projector is
+    Kept qubits stay in their original order.  keep is read up to its
+    (n + 1)-th entry, so an endless keep fails too.  The full projector is
     never formed: the cost is linear in the state-vector size, which
     matters for many-qubit sweeps.  Keeps related by a permutation of
     qubits that leaves psi unchanged give the same matrix, so each such
@@ -312,12 +325,13 @@ def reduce_pure(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     representative; the symmetry is found on a state's first reduction,
     and the state keeps it and the matrices (PureState._classes).  Each
     call returns a new DensityMatrix, but the keeps of a class share its
-    immutable entries and their memo (_derived), checked once.
+    immutable entries and their memo (_derived), checked once: a later
+    keep costs one check of the keep and a wrapper that checks nothing.
     """
     n = psi.num_qubits
     kept = _check_keep(keep, n)
-    _check_dense(len(kept))
     if len(kept) > _SHARED_MAX_KEPT:
+        _check_dense(len(kept))
         return DensityMatrix(len(kept), _reduce(psi, kept))
     start, reduced = psi._classes
     rep = _representative(kept, start)

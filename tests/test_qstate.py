@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -460,21 +462,54 @@ class TestPartialTrace:
 
     def test_keep_validation(self):
         psi = make_gghz(4, 0.2)
-        with pytest.raises(IndexError):
-            reduce_pure(psi, ())
-        with pytest.raises(IndexError):
-            reduce_pure(psi, (0, 4))
-        with pytest.raises(IndexError):
-            reduce_pure(psi, (2, 1))
-        with pytest.raises(IndexError):
-            reduce_pure(psi, (1, 1, 2))
-        for keep in [(0, 1.9, 2), (0, 1.0, 2), (True, 2), (0, np.bool_(True)), ("0", "1"),
-                     None, 3]:
-            with pytest.raises(IndexError):
+        for keep, bad in [((0, 4), 4), ((-1, 2), -1), ((0, 1.9, 2), 1.9), ((0, 1.0, 2), 1.0),
+                          ((True, 2), True), ((0, np.bool_(True)), np.bool_(True)),
+                          (("0", "1"), "0")]:
+            match = re.escape(f"need an integer kept qubit index in [0, 3], got {bad!r}") + "$"
+            with pytest.raises(IndexError, match=match):
                 reduce_pure(psi, keep)
-        for keep in [np.arange(3), (np.int64(0), np.int32(1), np.uint8(2))]:
+        for keep, match in [((), "keep must be nonempty$"),
+                            ((2, 1), r"strictly increasing, got \(2, 1\)$"),
+                            ((1, 1, 2), r"strictly increasing, got \(1, 1, 2\)$"),
+                            (None, "must be an iterable of qubit indices, got NoneType$"),
+                            (3, "must be an iterable of qubit indices, got int$")]:
+            with pytest.raises(IndexError, match=match):
+                reduce_pure(psi, keep)
+        for keep in [np.arange(3), (np.int64(0), np.int32(1), np.uint8(2)),
+                     (q for q in (0, 1, 2))]:
             np.testing.assert_array_equal(reduce_pure(psi, keep).entries,
                                           reduce_pure(psi, (0, 1, 2)).entries)
+
+    def test_endless_keep_fails_after_n_plus_one_entries(self):
+        drawn = []
+
+        def zeros():
+            for q in itertools.islice(itertools.repeat(0), 10**6):
+                drawn.append(q)
+                yield q
+
+        with pytest.raises(IndexError, match=r"strictly increasing, got \(0, 0, 0, 0, 0, 0\)$"):
+            reduce_pure(make_gghz(5, 0.3), zeros())
+        assert len(drawn) <= 6
+
+    def test_later_keeps_check_nothing_again(self, monkeypatch):
+        psi = make_dicke(10, 5)
+        keeps = list(itertools.combinations(range(10), 3))
+        reduce_pure(psi, keeps[0])
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("_array", "_bounded_int", "_check_dense"):
+            monkeypatch.setattr(qstate, name, counted(name, getattr(qstate, name)))
+        monkeypatch.setattr(DensityMatrix, "__init__", counted("__init__", DensityMatrix.__init__))
+        for keep in keeps[1:]:
+            reduce_pure(psi, keep)
+        assert calls == {"__init__": len(keeps) - 1}
 
     def test_gghz_reductions_all_equal(self, rng):
         for theta in rng.uniform(0, 2 * math.pi, 20):
