@@ -142,14 +142,6 @@ def _load_spec(args) -> StateSpec:
     return StateSpec.from_dict(data)
 
 
-def _parse_indices(text: str) -> tuple[int, ...]:
-    try:
-        idx = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise _ArgumentError(f"bad index list {text!r}") from exc
-    return idx
-
-
 def _opts(args) -> OptimizerOptions:
     return OptimizerOptions(restarts=args.restarts, seed=args.seed)
 
@@ -157,10 +149,12 @@ def _opts(args) -> OptimizerOptions:
 def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatrix:
     """The spec's state reduced onto --reduce, on one of sizes qubits if given."""
     spec = _load_spec(args)
+    keep = tuple(range(spec.num_qubits))
     if args.reduce is not None:
-        keep = _parse_indices(args.reduce)
-    else:
-        keep = tuple(range(spec.num_qubits))
+        try:
+            keep = tuple(int(part) for part in args.reduce.split(","))
+        except ValueError as exc:
+            raise _ArgumentError(f"bad index list {args.reduce!r}") from exc
     if sizes is not None and len(keep) not in sizes:
         raise _ArgumentError(
             f"{args.verb} needs a {'- or '.join(map(str, sizes))}-qubit state, "

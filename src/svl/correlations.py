@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _array, _derived, _immutable
+from .qstate import DensityMatrix, _array, _derived, _finite, _immutable
 
 __all__ = [
     "PAULIS",
@@ -81,14 +81,11 @@ class CorrelationMatrix2:
 _TRACES = {2: "abcd,ica,jdb->ij", 3: "abcdef,ida,jeb,kfc->ijk"}
 
 
-def _pauli_traces(rho: DensityMatrix, k: int, what: str) -> np.ndarray:
-    """The real values Tr(rho sigma_i x sigma_j ...) of a k-qubit rho."""
+def _pauli_traces(rho: DensityMatrix, k: int) -> np.ndarray:
+    """Re Tr(rho sigma_i x sigma_j ...) of a k-qubit rho; qstate._check_density bounds Im."""
     if rho.num_qubits != k:
         raise InvalidArityError(f"need a {k}-qubit state, got {rho.num_qubits} qubits")
-    m = np.einsum(_TRACES[k], rho.entries.reshape((2,) * 2 * k), *(PAULIS,) * k)
-    if np.abs(m.imag).max() > _IMAG_TOL:
-        raise DomainError(f"correlation {what} has a non-real entry")
-    return m.real
+    return np.einsum(_TRACES[k], rho.entries.reshape((2,) * 2 * k), *(PAULIS,) * k).real
 
 
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
@@ -96,12 +93,12 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor3:
     memo (qstate._derived): every call on rho, or on a keep of its class,
     returns the one tensor, with its one 4*lambda1 (_upper_bound)."""
     return _derived(rho, "tensor",
-                    lambda: CorrelationTensor3(_pauli_traces(rho, 3, "tensor")))
+                    lambda: CorrelationTensor3(_pauli_traces(rho, 3)))
 
 
 def pair_correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix2:
     """All 9 values Tr(rho sigma_i x sigma_j) for a two-qubit state."""
-    return CorrelationMatrix2(_pauli_traces(rho, 2, "matrix"))
+    return CorrelationMatrix2(_pauli_traces(rho, 2))
 
 
 def flatten_correlation_tensor(tensor: CorrelationTensor3) -> np.ndarray:
@@ -117,8 +114,11 @@ def largest_singular_value(mat) -> float:
         raise InvalidArityError(f"expected a 2-D matrix, got shape {mat.shape}")
     if mat.dtype.kind not in "iuf" or not np.isfinite(mat).all():
         raise DomainError("matrix entries must be finite real numbers")
-    gram = mat.astype(float) @ mat.T
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    e = math.frexp(np.abs(mat).max())[1]
+    mat = np.ldexp(mat.astype(float), -e)  # exact; its Gram matrix stays in range
+    root = math.sqrt(max(float(np.linalg.eigvalsh(mat @ mat.T)[-1]), 0.0))
+    with np.errstate(over="ignore"):  # a result beyond the float range is a DomainError
+        return _finite("largest singular value", float(np.ldexp(root, e)))
 
 
 def svetlichny_upper_bound(rho: DensityMatrix) -> float:

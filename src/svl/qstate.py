@@ -170,7 +170,11 @@ class DensityMatrix:
 
 def _check_density(mat: np.ndarray) -> None:
     """DomainError unless the square matrix is finite, Hermitian, of unit
-    trace and (up to PSD_CHECK_MAX_DIM) positive semidefinite."""
+    trace and (up to PSD_CHECK_MAX_DIM) positive semidefinite.  Hermitian
+    within STRUCTURAL_TOL, rho has |Im Tr(rho P)| <= 4e-12 for each Pauli
+    product P on three qubits (one unit entry per row) and |Im Tr(S rho)|
+    <= 6.4e-11 for each Svetlichny operator S (norm <= 4*sqrt(2), so its
+    entries' moduli sum to <= 128): the residues that the traces drop."""
     if not np.isfinite(mat).all():
         raise DomainError("matrix has a non-finite entry")
     # Written as "not (err <= tol)" so that NaN fails every check.
@@ -261,11 +265,8 @@ def make_dicke(n: int, m: int) -> PureState:
     """
     n = _bounded_int("n", n, 1, MAX_QUBITS, InvalidArityError)
     m = _bounded_int("m", m, 0, n, InvalidArityError)
-    ones = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        ones = np.concatenate([ones, ones + 1])
     amps = np.zeros(2**n, dtype=complex)
-    amps[ones == n - m] = 1.0 / math.sqrt(comb(n, m))
+    amps[np.bitwise_count(np.arange(2**n)) == n - m] = 1.0 / math.sqrt(comb(n, m))
     return PureState(n, amps)
 
 

@@ -108,15 +108,13 @@ def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
     Tr(A x D x C rho) sums A[a, d] D[b, e] C[c, f] rho[d, e, f, a, b, c].
     It builds neither the 8x8 operator nor the correlation tensor, so it
     stays an independent check of the tensor's route.  Where b = b' (case
-    A of _exact_directions), D' is exactly zero.
+    A of _exact_directions), D' is exactly zero.  The imaginary residue,
+    bounded by rho's Hermiticity (qstate._check_density), is dropped.
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    val = complex(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *s._observables,
-                            rho.entries.reshape((2,) * 6)))
-    if abs(val.imag) > 1e-10:
-        raise DomainError(f"expectation has imaginary residue {val.imag!r}")
-    return val.real
+    return float(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *s._observables,
+                           rho.entries.reshape((2,) * 6)).real)
 
 
 # S is the sum over x, y, z in {0, 1} of _SIGN[x, y, z] X_x Y_y Z_z, where
@@ -593,4 +591,4 @@ def lagrange_max(u, v) -> float:
         raise InvalidArityError("coefficient arrays must each have length 4")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise DomainError("coefficients must be finite")
-    return math.sqrt(float(u @ u + v @ v))
+    return _finite("coefficient norm", math.hypot(*u, *v))

@@ -236,12 +236,9 @@ def bound_wclass_sum_squares_spectral(w: WClassCoefficients,
     _require_zero_vacuum(w)
     a, b, g, d = w.alpha, w.beta, w.gamma, w.delta
     a2, b2, g2, d2 = a * a, b * b, g * g, d * d
-    if variant == "verbatim":
-        ab2, ag2, ad2 = a * b2, a * g2, a * d2
-        bg2, bd2, gd2 = b * g2, b * d2, g * d2
-    else:
-        ab2, ag2, ad2 = a2 * b2, a2 * g2, a2 * d2
-        bg2, bd2, gd2 = b2 * g2, b2 * d2, g2 * d2
+    x, y, z = (a, b, g) if variant == "verbatim" else (a2, b2, g2)
+    ab2, ag2, ad2 = x * b2, x * g2, x * d2
+    bg2, bd2, gd2 = y * g2, y * d2, z * d2
     sa = (2.0 * a2 - 1.0) ** 2
     sb = (2.0 * b2 - 1.0) ** 2
     sg = (2.0 * g2 - 1.0) ** 2

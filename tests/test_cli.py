@@ -194,6 +194,11 @@ class TestErrors:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if line.startswith("svl")]) == 1
 
+    @pytest.mark.parametrize("text", ["0,x,2", "", "0,,1"])
+    def test_bad_index_list_quotes_the_list(self, capsys, text):
+        code, out, err = run_cli(capsys, "bound", "--state", GGHZ4, "--reduce", text)
+        assert (code, out, err) == (2, "", f"svl: bad index list {text!r}\n")
+
     def test_too_many_qubits_is_domain_error(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the qubit-count check")

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from svl import (
     flatten_correlation_tensor,
     lagrange_max,
     largest_singular_value,
+    make_dicke,
     make_gghz,
+    make_ms,
     maximally_mixed,
     pair_correlation_matrix,
     reduce_pure,
@@ -143,6 +146,36 @@ class TestFlattening:
     def test_largest_singular_value_of_a_list_of_rows(self):
         assert largest_singular_value([[1, 2], [3, 4]]) == pytest.approx(
             5.464985704219043, abs=1e-15)
+
+    @pytest.mark.parametrize("mat", [
+        [[1e200, 0.0], [0.0, 1.0]],
+        [[1e155, 1e155]],
+        [[1e-200, 0.0], [0.0, 0.0]],
+        [[5e-324, 0.0]],
+    ])
+    def test_largest_singular_value_across_the_float_range(self, mat):
+        # The squares of these entries leave the float range.
+        want = np.linalg.svd(np.array(mat), compute_uv=False)[0]
+        assert largest_singular_value(mat) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_largest_singular_value_of_zero(self):
+        assert largest_singular_value(np.zeros((3, 9))) == 0.0
+
+    def test_largest_singular_value_beyond_the_float_range(self):
+        with pytest.raises(DomainError):
+            largest_singular_value([[1.7e308, 1.7e308]])
+
+    def test_scaling_keeps_every_bit_on_reductions(self, rng):
+        # Scaling by a power of two is exact: the unscaled Gram formula
+        # gives the same bits on flattenings that need no scaling.
+        states = [DensityMatrix(3, random_density_entries(3, rng)) for _ in range(100)]
+        for n in range(4, 11):
+            for psi in (make_gghz(n, 0.3), make_ms(n, 2.0), make_dicke(n, n // 2)):
+                states += [reduce_pure(psi, keep) for keep in combinations(range(n), 3)]
+        for rho in states:
+            flat = flatten_correlation_tensor(correlation_tensor(rho))
+            unscaled = math.sqrt(max(float(np.linalg.eigvalsh(flat @ flat.T)[-1]), 0.0))
+            assert largest_singular_value(flat) == unscaled
 
     @pytest.mark.parametrize("mat, error", [
         (np.ones(9), InvalidArityError),

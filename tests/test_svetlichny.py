@@ -36,6 +36,7 @@ from svl.svetlichny import (
 )
 from svl import correlations
 from svl.correlations import PAULIS, correlation_tensor
+from svl.qstate import STRUCTURAL_TOL
 
 from conftest import (
     drop_memos,
@@ -205,6 +206,59 @@ class TestValue:
 
         monkeypatch.setattr(BlochVector, "cartesian", property(refuse))
         assert svetlichny_value(rho, s) == first
+
+
+class TestDroppedResidue:
+    """correlation_tensor and svetlichny_value drop the imaginary part of
+    their traces, which qstate._check_density's Hermiticity bound keeps
+    below 4e-12 and 6.4e-11.  These tests fail once STRUCTURAL_TOL is
+    loosened so far that the residue could reach 1e-10."""
+
+    @staticmethod
+    def edge_state(rng, perturbation):
+        """A random mixed state plus an anti-Hermitian, zero-diagonal
+        perturbation scaled to just inside the Hermiticity tolerance."""
+        rho = random_density_entries(3, rng)
+        rho = (rho + rho.conj().T) / 2
+        np.fill_diagonal(perturbation, 0.0)
+        scale = 0.999 * STRUCTURAL_TOL / np.abs(perturbation - perturbation.conj().T).max()
+        entries = rho + scale * perturbation
+        assert 0.99 * STRUCTURAL_TOL < np.abs(entries - entries.conj().T).max() <= STRUCTURAL_TOL
+        return DensityMatrix(3, entries)
+
+    @staticmethod
+    def residues(rho, settings):
+        """The largest |Im| of the 27 Pauli traces and of the values at
+        settings, from the modules' own contractions before .real."""
+        traces = np.einsum(correlations._TRACES[3], rho.entries.reshape((2,) * 6),
+                           PAULIS, PAULIS, PAULIS)
+        np.testing.assert_array_equal(correlation_tensor(rho).m, traces.real)
+        values = []
+        for s in settings:
+            value = np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *s._observables,
+                              rho.entries.reshape((2,) * 6))
+            assert svetlichny_value(rho, s) == value.real
+            values.append(value)
+        return np.abs(traces.imag).max(), np.abs(np.imag(values)).max()
+
+    def test_random_perturbations_at_the_edge(self, rng):
+        worst_trace = worst_value = 0.0
+        for _ in range(100):
+            k = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            rho = self.edge_state(rng, k - k.conj().T)
+            trace, value = self.residues(rho, [random_settings(rng) for _ in range(20)])
+            worst_trace, worst_value = max(worst_trace, trace), max(worst_value, value)
+        assert worst_trace <= 4 * STRUCTURAL_TOL and worst_value <= 64 * STRUCTURAL_TOL
+        assert worst_trace < 1e-10 and worst_value < 1e-10
+
+    def test_perturbation_aligned_with_a_pauli_product(self, rng):
+        # i * P is anti-Hermitian, and Tr((i c P) P) = 8 i c is the
+        # bound 4e-12 itself for c = STRUCTURAL_TOL / 2.
+        p = kron3(obs(X_DIR.cartesian), obs(Y_DIR.cartesian), obs(X_DIR.cartesian))
+        rho = self.edge_state(rng, 1j * p)
+        trace, value = self.residues(rho, [random_settings(rng) for _ in range(20)])
+        assert 3.9 * STRUCTURAL_TOL < trace <= 4 * STRUCTURAL_TOL
+        assert trace < 1e-10 and value < 1e-10
 
 
 class TestBlochVector:
@@ -846,6 +900,16 @@ class TestLagrangeMax:
     def test_rejects_non_finite_coefficients(self, bad):
         with pytest.raises(DomainError):
             lagrange_max([bad, 0, 0, 0], [0] * 4)
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_across_the_float_range(self, size):
+        # Their squares overflow to inf and underflow to 0.
+        assert lagrange_max([size, 0, 0, 0], [0] * 4) == size
+        assert lagrange_max([0] * 4, [0, 0, 0, -size]) == size
+
+    def test_rejects_a_norm_beyond_the_float_range(self):
+        with pytest.raises(DomainError):
+            lagrange_max([1.7e308] * 4, [1.7e308] * 4)
 
     def test_matches_projected_gradient(self, rng):
         for _ in range(20):
