@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -34,7 +35,14 @@ class _ArgumentError(Exception):
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, tuple):  # a tradeoff keep: one field, which csv quotes
+        return ",".join(map(str, x))
     return str(x)
+
+
+def _fields(record) -> dict:
+    """A result record's fields by name, in order: its JSON object."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 @functools.cache
@@ -165,7 +173,7 @@ def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatri
         raise _ArgumentError(str(exc)) from exc
 
 
-# Each runner returns (json payload, csv columns, csv rows, converged).
+# Each runner returns (json payload or record, csv columns, csv rows, converged).
 
 def _run_state(args):
     psi = _load_spec(args).to_pure()
@@ -195,10 +203,9 @@ def _run_bound(args):
 
 def _run_maximize(args):
     best = maximize_svetlichny(_reduced_density(args, sizes=(3,)), _opts(args))
-    cols = ("value", "converged", "restarts", "evaluations")
-    row = tuple(getattr(best, c) for c in cols)
-    payload = {**dict(zip(cols, row)), "settings": best.settings.to_dict()}
-    return payload, cols, [row], best.converged
+    row = _fields(best)
+    del row["settings"]
+    return best, tuple(row), [tuple(row.values())], best.converged
 
 
 def _run_tensor(args):
@@ -211,14 +218,11 @@ def _run_tensor(args):
 
 
 def _run_tradeoff(args):
-    report = verify_tradeoff(_load_spec(args), args.bound, _opts(args),
-                             variant=args.variant)
-    rows = [(",".join(map(str, r.keep)), r.value, r.upper_bound, r.converged,
-             report.lhs, report.rhs, report.satisfied)
-            for r in report.per_reduction]
-    cols = ("keep", "value", "upper_bound_4lambda1", "converged",
-            "lhs", "rhs", "satisfied")
-    return report.to_dict(), cols, rows, report.converged
+    report = verify_tradeoff(_load_spec(args), args.bound, _opts(args), variant=args.variant)
+    cols = (*_fields(report.per_reduction[0]), "lhs", "rhs", "satisfied")  # never empty
+    rows = ((*_fields(r).values(), report.lhs, report.rhs, report.satisfied)
+            for r in report.per_reduction)  # built only when csv is written
+    return report, cols, rows, report.converged
 
 
 def _run_figure(args):
@@ -236,9 +240,9 @@ def main(argv=None) -> int:
     try:
         payload, columns, rows, converged = args.run(args)
         if fmt == "json":
-            text = json.dumps(payload) + "\n"
+            text = json.dumps(payload, default=_fields) + "\n"
         else:
-            buf = io.StringIO()  # csv quotes a field with a comma: the tradeoff keep
+            buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows(map(_fmt, r) for r in [columns, *rows])
             text = buf.getvalue()
         if args.output:

@@ -15,6 +15,7 @@ import numbers
 import operator
 from dataclasses import InitVar, dataclass, field
 from math import comb
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -111,10 +112,9 @@ class PureState:
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
-        if not abs(np.linalg.norm(amps) - 1.0) <= STRUCTURAL_TOL:
-            raise NormalizationError(
-                f"amplitudes have norm {np.linalg.norm(amps)!r}, expected 1"
-            )
+        norm = _norm(amps)
+        if not abs(norm - 1.0) <= STRUCTURAL_TOL:
+            raise NormalizationError(f"amplitudes have norm {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -198,8 +198,20 @@ def _derived(rho: DensityMatrix, key: str, build: Callable[[], object]):
     return rho._memo[key]
 
 
+@np.errstate(over="ignore")  # half the cost of a with block; beyond the float range reads inf
+def _norm(x: np.ndarray) -> float:
+    """numpy's norm of a contiguous x as a float; where the squares overflow or
+    all underflow, it is retaken on x scaled exactly by a power of two."""
+    norm = float(np.linalg.norm(x))
+    if math.isfinite(norm) and (norm > 0.0 or not x.any()):
+        return norm
+    parts = x.view(float)  # complex as (re, im) pairs
+    e = math.frexp(np.abs(parts).max())[1]  # 0 for an inf or NaN entry
+    return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e))
+
+
 def _normalized(amps: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(amps)
     if not abs(norm - 1.0) <= INPUT_NORMALIZATION_TOL:
         raise NormalizationError(f"coefficients have norm {norm!r}, expected 1")
     return amps / norm
@@ -476,7 +488,7 @@ class StateSpec:
       {"family": "CUSTOM", "n": 3, "amplitudes": [[re, im], ...]}
 
     Construction checks the family and field names, _FAMILIES' builder
-    their values.  params is a copy of the mapping given, values as given.
+    their values.  params is a read-only copy of the mapping given, values as given.
     """
 
     family: str
@@ -487,7 +499,7 @@ class StateSpec:
     def __post_init__(self):
         if not isinstance(self.params, Mapping):
             raise DomainError(f"params must be a mapping, got {type(self.params).__name__}")
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         _check_fields(self.family, set(self.params), implicit={"n"})
         n = _integer("n", self.num_qubits)
         psi = _FAMILIES[self.family][1](n, self.params)
@@ -496,6 +508,9 @@ class StateSpec:
                                     f"qubits, got n={n}")
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "_pure", psi)
+
+    def __reduce__(self):
+        return type(self), (self.family, self.num_qubits, dict(self.params))
 
     def to_pure(self) -> PureState:
         return self._pure

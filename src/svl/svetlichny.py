@@ -14,13 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .correlations import PAULIS, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _array, _bounded_int, _derived, _finite, _immutable
+from .qstate import DensityMatrix, _array, _bounded_int, _derived, _finite, _immutable, _norm
 
 __all__ = [
     "BlochVector",
@@ -55,7 +55,7 @@ class BlochVector:
         v = _array(v, float, "direction")
         if v.shape != (3,):
             raise InvalidArityError(f"direction needs 3 components, got shape {v.shape}")
-        norm = np.linalg.norm(v)
+        norm = _norm(v)
         if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"direction has norm {norm!r}, expected 1")
         v = v / norm
@@ -78,9 +78,6 @@ class SvetlichnySettings:
 
     def angles(self) -> np.ndarray:
         return np.array(astuple(self), dtype=float).ravel()
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @functools.cached_property
     def _observables(self) -> np.ndarray:
@@ -333,10 +330,10 @@ class SvetlichnyMaximum:
     """Result of a settings search: value, argmax, and convergence state."""
 
     value: float
-    settings: SvetlichnySettings
     converged: bool
-    evaluations: int
     restarts: int
+    evaluations: int
+    settings: SvetlichnySettings
 
 
 # Closed-form settings are accepted when their value is this close to
@@ -482,14 +479,14 @@ def maximize_svetlichny(rho: DensityMatrix,
     if settings is not None:
         value = svetlichny_value(rho, settings)
         if abs(value - bound) <= _EXACT_TOL:
-            return SvetlichnyMaximum(value=value, settings=settings, converged=True,
-                                     evaluations=0, restarts=opts.restarts)
+            return SvetlichnyMaximum(value=value, converged=True, restarts=opts.restarts,
+                                     evaluations=0, settings=settings)
     v, value, sweeps, converged = _seesaw(tensor.m, _starts(opts.seed, opts.restarts))
     best = int(np.argmax(value))
     settings = _settings(v[best])
-    return SvetlichnyMaximum(value=svetlichny_value(rho, settings), settings=settings,
-                             converged=bool(converged[best]),
-                             evaluations=int(sweeps.sum()), restarts=opts.restarts)
+    return SvetlichnyMaximum(value=svetlichny_value(rho, settings),
+                             converged=bool(converged[best]), restarts=opts.restarts,
+                             evaluations=int(sweeps.sum()), settings=settings)
 
 
 def _grid_directions(step: float) -> np.ndarray:

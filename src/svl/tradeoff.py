@@ -257,16 +257,8 @@ def bound_wclass_sum_squares_spectral(w: WClassCoefficients,
 class ReductionResult:
     keep: tuple[int, ...]
     value: float
-    upper_bound: float
+    upper_bound_4lambda1: float
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "keep": list(self.keep),
-            "value": self.value,
-            "upper_bound_4lambda1": self.upper_bound,
-            "converged": self.converged,
-        }
 
 
 @dataclass(frozen=True)
@@ -275,7 +267,7 @@ class TradeoffReport:
 
     family: str
     params: Mapping[str, object]
-    bound_name: str
+    bound: str
     mode: str
     variant: str
     per_reduction: tuple[ReductionResult, ...]
@@ -284,21 +276,6 @@ class TradeoffReport:
     satisfied: bool
     gap: float
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "bound": self.bound_name,
-            "mode": self.mode,
-            "variant": self.variant,
-            "per_reduction": [r.to_dict() for r in self.per_reduction],
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "gap": self.gap,
-            "converged": self.converged,
-        }
 
 
 def _wcoeffs(spec: StateSpec) -> WClassCoefficients:
@@ -367,7 +344,7 @@ def verify_tradeoff(spec: StateSpec, bound: str,
         results.append(ReductionResult(
             keep=keep,
             value=best.value,
-            upper_bound=svetlichny_upper_bound(rho),
+            upper_bound_4lambda1=svetlichny_upper_bound(rho),
             converged=best.converged,
         ))
     if rule.mode == "sum":
@@ -377,7 +354,7 @@ def verify_tradeoff(spec: StateSpec, bound: str,
     return TradeoffReport(
         family=spec.family,
         params=dict(spec.params),
-        bound_name=bound,
+        bound=bound,
         mode=rule.mode,
         variant=variant,
         per_reduction=tuple(results),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from svl import bound_ms_sum, bound_ms_sum_n
+from svl import (BlochVector, OptimizerOptions, ReductionResult, StateSpec,
+                 SvetlichnyMaximum, SvetlichnySettings, TradeoffReport, bound_ms_sum,
+                 bound_ms_sum_n, maximize_svetlichny, reduce_pure, verify_tradeoff)
 from svl.cli import build_parser, main
 from svl.tradeoff import _BOUND_RULES, _FIGURE_RULES
 
@@ -194,6 +197,17 @@ class TestErrors:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if line.startswith("svl")]) == 1
 
+    def test_huge_coefficients_print_one_line(self):
+        # Their squares overflow; the norm is named, and numpy's warning,
+        # which the suite's filter would raise in process, stays silent.
+        huge = ('{"family":"WCLASS","alpha":1e300,"beta":1e300,"gamma":0,'
+                '"delta":0,"lambda":0}')
+        proc = subprocess.run([sys.executable, "-m", "svl", "state", "--state", huge],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("svl: coefficients have norm 1.4142135623730952e+300, "
+                               "expected 1\n")
+
     @pytest.mark.parametrize("text", ["0,x,2", "", "0,,1"])
     def test_bad_index_list_quotes_the_list(self, capsys, text):
         code, out, err = run_cli(capsys, "bound", "--state", GGHZ4, "--reduce", text)
@@ -342,6 +356,42 @@ class TestTensorVerb:
         assert len(data) == 27
         by_idx = {(d["i"], d["j"], d["k"]): d["value"] for d in data}
         assert by_idx[(3, 3, 3)] == pytest.approx(1.0, abs=1e-12)
+
+
+def names(record) -> list[str]:
+    return [f.name for f in dataclasses.fields(record)]
+
+
+class TestOutputSchema:
+    """The JSON keys and CSV headers are the result records' fields, in order."""
+
+    def test_maximize(self, capsys):
+        argv = ["maximize", "--state", W3, "--restarts", "2"]
+        _, out, _ = run_cli(capsys, *argv)
+        data = json.loads(out)
+        assert list(data) == names(SvetlichnyMaximum)
+        assert list(data["settings"]) == names(SvetlichnySettings)
+        assert all(list(v) == names(BlochVector) for v in data["settings"].values())
+        best = maximize_svetlichny(
+            reduce_pure(StateSpec.from_dict(json.loads(W3)).to_pure(), (0, 1, 2)),
+            OptimizerOptions(restarts=2))
+        assert out == json.dumps(dataclasses.asdict(best)) + "\n"
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header = next(csv.reader(out.splitlines()))
+        assert header == [name for name in names(SvetlichnyMaximum) if name != "settings"]
+
+    def test_tradeoff(self, capsys):
+        argv = ["tradeoff", "theorem1", "--state", GGHZ4, "--restarts", "2"]
+        _, out, _ = run_cli(capsys, *argv)
+        data = json.loads(out)
+        assert list(data) == names(TradeoffReport)
+        assert all(list(r) == names(ReductionResult) for r in data["per_reduction"])
+        report = verify_tradeoff(StateSpec.from_dict(json.loads(GGHZ4)), "theorem1",
+                                 OptimizerOptions(restarts=2))
+        assert out == json.dumps(dataclasses.asdict(report)) + "\n"
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header = next(csv.reader(out.splitlines()))
+        assert header == names(ReductionResult) + ["lhs", "rhs", "satisfied"]
 
 
 class TestTradeoffVerb:

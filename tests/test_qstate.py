@@ -281,6 +281,30 @@ class TestDensity:
         with pytest.raises(NormalizationError):
             PureState(1, np.array([bad, 0.0]))
 
+    @pytest.mark.parametrize("build, norm", [
+        (lambda: make_wclass(1e300, 1e300, 0.0, 0.0, 0.0), math.sqrt(2.0) * 1e300),
+        (lambda: StateSpec("CUSTOM", 1, {"amplitudes": [[1e300, 0], [0, 0]]}), 1e300),
+        (lambda: StateSpec("CUSTOM", 1, {"amplitudes": [[0, 1e-200], [0, 0]]}), 1e-200),
+        (lambda: PureState(1, [1e200, 0]), 1e200),
+        (lambda: PureState(1, [1e-200, 0]), 1e-200),
+        (lambda: PureState(1, [1e-200j, 1e-200]), math.sqrt(2.0) * 1e-200),
+        (lambda: PureState(1, [5e-324, 0]), 5e-324),
+    ], ids=["wclass", "custom-huge", "custom-tiny", "pure-huge", "pure-tiny",
+            "pure-tiny-complex", "pure-subnormal"])
+    def test_huge_or_tiny_amplitudes_name_their_norm(self, build, norm):
+        # Their squares overflow or underflow: the norm is retaken on the
+        # amplitudes scaled by a power of two, with no RuntimeWarning.
+        with pytest.raises(NormalizationError, match=re.escape(f"norm {norm!r}, expected 1")):
+            build()
+
+    @pytest.mark.parametrize("family", qstate._FAMILIES)
+    def test_norm_in_range_is_numpys_norm_bit_for_bit(self, family):
+        data, build = FAMILY_EXAMPLES[family]
+        amps = build().amplitudes
+        for x in (amps, 3.0 * amps, amps.real.copy(), np.zeros(4)):
+            got = qstate._norm(x)
+            assert type(got) is float and got == float(np.linalg.norm(x))
+
     def test_pure_state_rejects_amplitudes_of_another_length(self):
         with pytest.raises(InvalidArityError, match="expected 8 amplitudes for 3 qubits"):
             PureState(3, np.ones(4) / 2)
@@ -781,6 +805,20 @@ class TestStateSpec:
         dicke = from_json('{"family":"DICKE","n":4,"m":3.0}')
         np.testing.assert_array_equal(dicke.to_pure().amplitudes,
                                       make_dicke(4, 3).amplitudes)
+
+    def test_params_are_read_only(self):
+        # An edit would leave the built state and the bound disagreeing.
+        spec = StateSpec("GGHZ", 4, {"theta": 0.3})
+        with pytest.raises(TypeError):
+            spec.params["theta"] = 1.2
+        with pytest.raises(TypeError):
+            del spec.params["theta"]
+        assert spec.params == {"theta": 0.3}
+        copy = pickle.loads(pickle.dumps(spec))
+        assert (copy.family, copy.num_qubits, copy.params) == ("GGHZ", 4, spec.params)
+        assert copy.to_pure().amplitudes.tobytes() == spec.to_pure().amplitudes.tobytes()
+        with pytest.raises(TypeError):
+            copy.params["theta"] = 1.2
 
     def test_to_pure_returns_one_state(self):
         spec = StateSpec("MS", 4, {"theta": 1.0})

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -272,14 +274,21 @@ class TestBlochVector:
         b = BlochVector(np.float32(0.3), Fraction(1, 3))
         assert type(b.theta) is float and type(b.phi) is float
         assert (b.theta, b.phi) == (float(np.float32(0.3)), 1 / 3)
-        assert json.loads(json.dumps(SvetlichnySettings(*(b,) * 6).to_dict()))["c_p"] == {
-            "theta": b.theta, "phi": b.phi}
+        data = json.loads(json.dumps(dataclasses.asdict(SvetlichnySettings(*(b,) * 6))))
+        assert data["c_p"] == {"theta": b.theta, "phi": b.phi}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_from_cartesian_rejects_non_finite_components(self, bad):
         for v in ([bad, 0.0, 0.0], [0.0, bad, 1.0]):
             with pytest.raises(DomainError):
                 BlochVector.from_cartesian(v)
+
+    @pytest.mark.parametrize("v, norm", [([1e200, 0.0, 0.0], 1e200), ([0.0, 1e-200, 0.0], 1e-200),
+                                         ([2.0, 0.0, 0.0], 2.0)])
+    def test_from_cartesian_names_the_norm_it_rejects(self, v, norm):
+        # Huge or tiny components: their squares overflow or underflow.
+        with pytest.raises(DomainError, match=re.escape(f"direction has norm {norm!r}, expected 1")):
+            BlochVector.from_cartesian(v)
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0], [[1.0], [0.0], [0.0]],
                                      [], 1.0], ids=repr)
@@ -289,10 +298,10 @@ class TestBlochVector:
 
 
 class TestSettings:
-    def test_to_dict_and_angles_list_the_six_settings_in_order(self):
+    def test_fields_and_angles_list_the_six_settings_in_order(self):
         vectors = [BlochVector(0.1 * k, 0.2 * k) for k in range(1, 6)] + [Z_DIR]
         s = SvetlichnySettings(*vectors)
-        data = s.to_dict()
+        data = dataclasses.asdict(s)
         assert list(data) == ["a", "a_p", "b", "b_p", "c", "c_p"]
         assert data == {name: {"theta": v.theta, "phi": v.phi}
                         for name, v in zip(data, vectors)}

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import pickle
+import re
 from itertools import combinations
 
 import numpy as np
@@ -269,6 +271,12 @@ class TestWclassSumBound:
         with pytest.raises(NormalizationError):
             WClassCoefficients(1.0, 1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("big, norm", [(1e300, 1e300), (1e-200, 1e-200)])
+    def test_huge_or_tiny_coefficients_name_their_norm(self, big, norm):
+        # Their squares overflow or underflow; no RuntimeWarning escapes.
+        with pytest.raises(NormalizationError, match=re.escape(f"norm {norm!r}, expected 1")):
+            WClassCoefficients(big, 0.0, 0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta", "lam"])
     @pytest.mark.parametrize("bad", [1j, None, "0.5", True, np.True_], ids=repr)
     def test_rejects_coefficients_that_are_not_real_numbers(self, field, bad):
@@ -377,7 +385,7 @@ class TestVerifyTradeoff:
         assert report.converged
         assert len(report.per_reduction) == 4
         for r in report.per_reduction:
-            assert r.value <= r.upper_bound + 1e-6
+            assert r.value <= r.upper_bound_4lambda1 + 1e-6
             assert r.value <= 4.0 + 1e-6
 
     def test_report_consistency_and_gap(self):
@@ -398,7 +406,7 @@ class TestVerifyTradeoff:
         assert not report.satisfied
         assert report.gap < 0
         for r in report.per_reduction:
-            assert r.value <= r.upper_bound + 1e-6
+            assert r.value <= r.upper_bound_4lambda1 + 1e-6
 
     def test_ms_corrected_bound_is_attained(self):
         spec = StateSpec("MS", 4, {"theta": 2 * math.pi / 3})
@@ -539,12 +547,12 @@ class TestVerifyTradeoff:
         want = tradeoff.TradeoffReport(
             spec.family, dict(spec.params), bound, "sum", variant, tuple(rows), lhs, rhs,
             lhs <= rhs + tradeoff.SATISFIED_TOL, rhs - lhs, all(r.converged for r in rows))
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert json.dumps(dataclasses.asdict(got)) == json.dumps(dataclasses.asdict(want))
 
     def test_report_round_trips_to_json(self):
         spec = StateSpec("GGHZ", 4, {"theta": 0.3})
         report = verify_tradeoff(spec, "theorem1", FAST)
-        data = json.loads(json.dumps(report.to_dict()))
+        data = json.loads(json.dumps(dataclasses.asdict(report)))
         assert data["bound"] == "theorem1"
         assert data["satisfied"] is True
         assert len(data["per_reduction"]) == 4
@@ -560,6 +568,16 @@ class TestVerifyTradeoff:
         assert report.satisfied
         assert report.params == {"theta": 0.3}
         assert pickle.loads(pickle.dumps(spec)).params == {"theta": 0.3}
+
+    def test_spec_params_cannot_be_edited_after_the_state_is_built(self):
+        # An edit would pit the built state's maxima against the edited bound.
+        spec = StateSpec("GGHZ", 4, {"theta": 0.3})
+        with pytest.raises(TypeError):
+            spec.params["theta"] = 1.2
+        report = verify_tradeoff(spec, "theorem1", OptimizerOptions(restarts=2))
+        assert type(report.params) is dict and report.params == {"theta": 0.3}
+        assert report.rhs == bound_gghz_sum(0.3) and report.satisfied
+        assert json.loads(json.dumps(dataclasses.asdict(report)))["params"] == {"theta": 0.3}
 
 
 class TestSweepFigure:
@@ -674,5 +692,5 @@ class TestGghzPipeline:
                     np.testing.assert_allclose(m, expected, rtol=0, atol=1e-15)
                 report = verify_tradeoff(spec, "corollary1", FAST)
                 for r in report.per_reduction:
-                    assert abs(r.value - r.upper_bound) <= 1e-9, (n, theta, r.keep)
+                    assert abs(r.value - r.upper_bound_4lambda1) <= 1e-9, (n, theta, r.keep)
                 assert abs(report.lhs - bound_gghz_sum_n(n, theta)) <= 1e-9, (n, theta)
