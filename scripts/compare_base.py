@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Run a corpus of svl command lines on this tree and on a git revision,
+and report every difference.
+
+Each line of scripts/cli_corpus.txt (blank lines and lines starting
+with # are skipped) is one JSON array of arguments.  Each is run as
+`python -m svl ...` once with this tree's src/ and once with the
+revision's, each in a fresh process under PYTHONHASHSEED=0 and
+COLUMNS=80, in its own empty working directory.  A difference in stdout,
+stderr, exit code, or the names or bytes of the files the run leaves in
+its working directory (--output) is reported; the script exits 1 if any
+line differs, else 0.
+
+The revision is checked out with `git worktree add --detach` into a
+temporary directory, which is removed afterwards.
+
+    python scripts/compare_base.py --base HEAD
+"""
+
+import argparse
+import difflib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "scripts" / "cli_corpus.txt"
+TIMEOUT = 120.0  # seconds per run; the slowest corpus line takes about 1 s
+
+
+def read_corpus(path: pathlib.Path) -> list[list[str]]:
+    corpus = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        argv = json.loads(line)
+        if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+            raise SystemExit(f"{path}:{number}: expected a JSON array of strings")
+        corpus.append(argv)
+    return corpus
+
+
+def run(tree: pathlib.Path, argv: list[str]) -> dict:
+    """stdout, stderr, exit code and left files of `python -m svl argv`."""
+    env = dict(os.environ, PYTHONHASHSEED="0", COLUMNS="80", PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory(prefix="svl-compare-") as cwd:
+        proc = subprocess.run([sys.executable, "-m", "svl", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=TIMEOUT)
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(pathlib.Path(cwd).rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def describe(name: str, base, here) -> list[str]:
+    """Lines that show how one part of two runs differs."""
+    if isinstance(base, bytes):
+        diff = difflib.unified_diff(base.decode(errors="replace").splitlines(),
+                                    here.decode(errors="replace").splitlines(),
+                                    "base", "here", lineterm="", n=1)
+        return [f"  {name}:", *(f"    {line}" for line in list(diff)[:20])]
+    if isinstance(base, dict):
+        lines = []
+        for key in sorted(base.keys() | here.keys()):
+            if key not in base or key not in here:
+                lines.append(f"  file {key}: only {'here' if key in here else 'at base'}")
+            elif base[key] != here[key]:
+                lines += describe(f"file {key}", base[key], here[key])
+        return lines
+    return [f"  {name}: {base!r} at base, {here!r} here"]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    args = ap.parse_args()
+    corpus = read_corpus(CORPUS)
+
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="svl-base-") as parent:
+        base = pathlib.Path(parent) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
+                        str(base), args.base], check=True)
+        try:
+            for argv in corpus:
+                old, new = run(base, argv), run(ROOT, argv)
+                lines = [line for key in old if old[key] != new[key]
+                         for line in describe(key, old[key], new[key])]
+                if lines:
+                    differing += 1
+                    print(f"DIFFERS: {json.dumps(argv)}", *lines, sep="\n")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(base)], check=False)
+    print(f"{len(corpus)} command lines, {differing} differ from {args.base}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -31,7 +31,7 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=7,
                     help="theta/gamma grid points per family (default 7)")
     ap.add_argument("--restarts", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seed", type=int, default=OptimizerOptions.seed)
     args = ap.parse_args()
     if args.points < 1:
         ap.error(f"argument --points: need at least 1, got {args.points}")

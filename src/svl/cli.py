@@ -23,7 +23,7 @@ from .correlations import chsh_max, correlation_tensor, svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError, NormalizationError
 from .qstate import DensityMatrix, StateSpec, _real, reduce_pure
 from .svetlichny import OptimizerOptions, maximize_svetlichny
-from .tradeoff import _BOUND_RULES, _FIGURE_RULES, VARIANTS, sweep_figure, verify_tradeoff
+from .tradeoff import _BOUND_RULES, _FIGURE_RULES, sweep_figure, verify_tradeoff
 
 __all__ = ["main", "build_parser"]
 
@@ -71,9 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     optimizer.add_argument("--allow-unconverged", action="store_true",
                            help="exit 0 even when the optimizer did not converge")
 
-    reading = argparse.ArgumentParser(add_help=False)
-    reading.add_argument("--variant", choices=VARIANTS, default="verbatim",
-                         help="reading of the asymmetric printed formulas")
+    def reading(parser, rule, run) -> None:
+        """Start parser at run and the rule's first reading.  A rule with
+        two readings takes its own --variant: argparse parents share their
+        actions, whose default each set_defaults rewrites."""
+        if len(rule.variants) > 1:
+            parser.add_argument("--variant", choices=rule.variants, default=rule.variants[0],
+                                help="reading of the asymmetric printed formulas")
+        parser.set_defaults(variant=rule.variants[0], run=run)
 
     p = argparse.ArgumentParser(
         prog="svl",
@@ -110,25 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reduce onto these three qubits first")
     px.set_defaults(run=_run_tensor)
 
-    # One sub-parser per bound and per figure; only those with two
-    # readings take --variant.  Each starts at its rule's first reading;
-    # set_defaults also writes the default of the --variant action they
-    # share, so every rule with two readings lists "verbatim" first.
+    # One sub-parser per bound and per figure.
     bounds = sub.add_parser(
         "tradeoff", help="check one trade-off bound against maximization").add_subparsers(
         dest="bound", required=True)
     for name, rule in _BOUND_RULES.items():
-        pt = bounds.add_parser(name, parents=[output, state, optimizer]
-                               + [reading] * (len(rule.variants) > 1))
-        pt.set_defaults(variant=rule.variants[0], run=_run_tradeoff)
+        reading(bounds.add_parser(name, parents=[output, state, optimizer]), rule, _run_tradeoff)
 
     figures = sub.add_parser("figure", help="tabulate a figure's curves").add_subparsers(
         dest="figure", required=True)
     for name, rule in _FIGURE_RULES.items():
-        pf = figures.add_parser(name, parents=[output] + [optimizer] * rule.optimized
-                                + [reading] * (len(rule.variants) > 1))
+        pf = figures.add_parser(name, parents=[output] + [optimizer] * rule.optimized)
+        reading(pf, rule, _run_figure)
         pf.add_argument("--points", type=int, default=181, help="grid points (default 181)")
-        pf.set_defaults(variant=rule.variants[0], run=_run_figure)
     return p
 
 
@@ -167,10 +166,7 @@ def _reduced_density(args, sizes: tuple[int, ...] | None = None) -> DensityMatri
         raise _ArgumentError(
             f"{args.verb} needs a {'- or '.join(map(str, sizes))}-qubit state, "
             f"got {len(keep)} qubits; use --reduce")
-    try:
-        return reduce_pure(spec.to_pure(), keep)
-    except IndexError as exc:
-        raise _ArgumentError(str(exc)) from exc
+    return reduce_pure(spec.to_pure(), keep)
 
 
 # Each runner returns (json payload or record, csv columns, csv rows, converged).
@@ -250,10 +246,10 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (_ArgumentError, OSError, UnicodeDecodeError) as exc:  # --state-file, --output
+    except (_ArgumentError, IndexError, OSError, UnicodeDecodeError) as exc:  # keep, file I/O
         print(f"svl: {exc}", file=sys.stderr)
         return 2
-    except (NormalizationError, DomainError, InvalidArityError, IndexError) as exc:
+    except (NormalizationError, DomainError, InvalidArityError) as exc:
         print(f"svl: {exc}", file=sys.stderr)
         return 3
     # Only the optimizer verbs, which have --allow-unconverged, report False.

@@ -35,7 +35,7 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = _immutable(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 
-_IMAG_TOL = 1e-10
+_ENTRY_RANGE_TOL = 1e-10  # rounding past [-1, 1] allowed in correlation entries
 
 
 def _frozen_correlations(x, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -45,7 +45,7 @@ def _frozen_correlations(x, shape: tuple[int, ...], what: str) -> np.ndarray:
     if x.shape != shape:
         raise InvalidArityError(f"expected a {'x'.join(map(str, shape))} {what}, "
                                 f"got shape {x.shape}")
-    if not np.max(np.abs(x)) <= 1.0 + _IMAG_TOL:
+    if not np.max(np.abs(x)) <= 1.0 + _ENTRY_RANGE_TOL:
         raise DomainError(f"correlation {what} entries must lie in [-1, 1]")
     return _immutable(x)
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .correlations import PAULIS, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _array, _bounded_int, _derived, _finite, _immutable, _norm
+from .qstate import (INPUT_NORMALIZATION_TOL, DensityMatrix, _array, _bounded_int, _derived,
+                     _finite, _immutable, _norm)
 
 __all__ = [
     "BlochVector",
@@ -56,7 +57,7 @@ class BlochVector:
         if v.shape != (3,):
             raise InvalidArityError(f"direction needs 3 components, got shape {v.shape}")
         norm = _norm(v)
-        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+        if not abs(norm - 1.0) <= INPUT_NORMALIZATION_TOL:  # NaN fails too
             raise DomainError(f"direction has norm {norm!r}, expected 1")
         v = v / norm
         # atan2 of the transverse radius stays accurate near the poles,
@@ -392,9 +393,9 @@ def _candidates(g: np.ndarray, gp: np.ndarray, d: np.ndarray, dp: np.ndarray,
             yield _case_a(math.cos(s) * g + math.sin(s) * gp, math.cos(s) * d + math.sin(s) * dp)
 
 
-def _exact_directions(tensor, bound: float) -> np.ndarray | None:
-    """Closed-form directions (6, 3) whose value on the tensor is within
-    _EXACT_TOL of bound (its 4*lambda1), or None.
+def _exact_directions(tensor) -> SvetlichnySettings | None:
+    """Closed-form settings whose value on the tensor is within _EXACT_TOL
+    of bound, its 4*lambda1 (tensor._upper_bound), or None.
 
     Write b + b' = 2 cos(w) d and b - b' = 2 sin(w) d' with d orthogonal
     to d', and G(d)[i, k] = m[i, j, k] d_j.  The value is then
@@ -417,11 +418,13 @@ def _exact_directions(tensor, bound: float) -> np.ndarray | None:
       tried at both roots s of the one with the largest hypot(A - C, B).
 
     Each case builds its directions from the largest column of G(d) or
-    Z; the first in the order A, B, C whose value reaches bound is
-    returned.  B and C are not tried where lambda1^2 - lambda2^2 exceeds
-    bound * _EXACT_TOL: B's value is at most 2 sqrt(2 (lambda1^2 +
-    lambda2^2)), which then falls short of bound by more than _EXACT_TOL.
+    Z; the settings of the first in the order A, B, C whose value
+    reaches bound are returned.  B and C are not tried where lambda1^2 -
+    lambda2^2 exceeds bound * _EXACT_TOL: B's value is at most
+    2 sqrt(2 (lambda1^2 + lambda2^2)), which then falls short of bound by
+    more than _EXACT_TOL.
     """
+    bound = tensor._upper_bound
     flat = flatten_correlation_tensor(tensor)
     lam, left = np.linalg.eigh(flat @ flat.T)
     d, dp = left[:, 2], left[:, 1]
@@ -430,7 +433,7 @@ def _exact_directions(tensor, bound: float) -> np.ndarray | None:
     for v in _candidates(g, gp, d, dp, degenerate):
         value = np.einsum("xyz,ijk,xi,yj,zk->", _SIGN, tensor.m, v[:2], v[2:4], v[4:])
         if abs(value - bound) <= _EXACT_TOL:
-            return v
+            return _settings(v)
     return None
 
 
@@ -469,16 +472,10 @@ def maximize_svetlichny(rho: DensityMatrix,
     if opts is None:
         opts = OptimizerOptions()
     tensor = correlation_tensor(rho)
-    bound = tensor._upper_bound
-
-    def closed_form() -> SvetlichnySettings | None:
-        v = _exact_directions(tensor, bound)
-        return None if v is None else _settings(v)
-
-    settings = _derived(rho, "closed form", closed_form)
+    settings = _derived(rho, "closed form", lambda: _exact_directions(tensor))
     if settings is not None:
         value = svetlichny_value(rho, settings)
-        if abs(value - bound) <= _EXACT_TOL:
+        if abs(value - tensor._upper_bound) <= _EXACT_TOL:
             return SvetlichnyMaximum(value=value, converged=True, restarts=opts.restarts,
                                      evaluations=0, settings=settings)
     v, value, sweeps, converged = _seesaw(tensor.m, _starts(opts.seed, opts.restarts))

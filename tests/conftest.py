@@ -166,7 +166,7 @@ def closed_form_runs(monkeypatch):
     directions = svetlichny._exact_directions
     largest = correlations.largest_singular_value
     monkeypatch.setattr(svetlichny, "_exact_directions",
-                        lambda tensor, bound: exact.append(tensor) or directions(tensor, bound))
+                        lambda tensor: exact.append(tensor) or directions(tensor))
     monkeypatch.setattr(correlations, "largest_singular_value",
                         lambda mat: singular.append(mat) or largest(mat))
     return exact, singular

@@ -12,12 +12,14 @@ from svl import (BlochVector, OptimizerOptions, ReductionResult, StateSpec,
                  SvetlichnyMaximum, SvetlichnySettings, TradeoffReport, bound_ms_sum,
                  bound_ms_sum_n, maximize_svetlichny, reduce_pure, verify_tradeoff)
 from svl.cli import build_parser, main
+from svl.qstate import _check_keep
 from svl.tradeoff import _BOUND_RULES, _FIGURE_RULES
 
 from conftest import drop_memos
 
 GHZ3 = '{"family":"GGHZ","n":3,"theta":0.7853981633974483}'
 GGHZ4 = '{"family":"GGHZ","n":4,"theta":0.0}'
+GGHZ5 = '{"family":"GGHZ","n":5,"theta":0.3}'
 # The W state stays below its 4*lambda1, so only the see-saw maximizes it.
 W3 = '{"family":"DICKE","n":3,"m":1}'
 
@@ -208,6 +210,18 @@ class TestErrors:
         assert proc.stderr == ("svl: coefficients have norm 1.4142135623730952e+300, "
                                "expected 1\n")
 
+    @pytest.mark.parametrize("verb, keep", [
+        (verb, keep) for verb in ("reduce", "bound", "maximize", "tensor")
+        for keep in ("0,1,5", "-1,2,3", "0,2,1", "3,3,4", "0,1,1")
+    ] + [(verb, keep) for verb in ("reduce", "bound") for keep in ("1,5", "2,1", "4,4")])
+    def test_bad_keep_is_argument_error(self, capsys, verb, keep):
+        # A keep of a size the verb takes, out of range, not increasing or
+        # repeating an index: the argument error names _check_keep's fault.
+        with pytest.raises(IndexError) as fault:
+            _check_keep(tuple(map(int, keep.split(","))), 5)
+        code, out, err = run_cli(capsys, verb, "--state", GGHZ5, f"--reduce={keep}")
+        assert (code, out, err) == (2, "", f"svl: {fault.value}\n")
+
     @pytest.mark.parametrize("text", ["0,x,2", "", "0,,1"])
     def test_bad_index_list_quotes_the_list(self, capsys, text):
         code, out, err = run_cli(capsys, "bound", "--state", GGHZ4, "--reduce", text)
@@ -322,6 +336,27 @@ def test_each_bound_and_figure_starts_at_its_first_reading():
         assert args.variant == rule.variants[0], name
     for name, rule in _FIGURE_RULES.items():
         assert parser.parse_args(["figure", name]).variant == rule.variants[0], name
+
+
+@pytest.mark.parametrize("registry, name, argv", [
+    (_BOUND_RULES, "theorem2", ["tradeoff", "theorem2", "--state", MS4]),
+    (_FIGURE_RULES, "FIG2", ["figure", "FIG2"]),
+])
+def test_each_rule_owns_its_variant(monkeypatch, registry, name, argv):
+    # A rule whose readings are listed in the other order starts at its
+    # own first reading, and the others keep theirs.
+    rule = registry[name]
+    monkeypatch.setitem(registry, name, dataclasses.replace(rule, variants=rule.variants[::-1]))
+    build_parser.cache_clear()
+    try:
+        parser = build_parser()
+        assert parser.parse_args(argv).variant == "corrected"
+        assert parser.parse_args([*argv, "--variant", "verbatim"]).variant == "verbatim"
+        for other in ("theorem3", "corollary2"):
+            assert parser.parse_args(["tradeoff", other, "--state", MS4]).variant == "verbatim"
+        assert parser.parse_args(["figure", "FIG3"]).variant == "verbatim"
+    finally:
+        build_parser.cache_clear()
 
 
 class TestHelp:
@@ -493,7 +528,7 @@ class TestFigureVerb:
     def test_fig4_unconverged_exit_code(self, capsys, monkeypatch):
         # Every FIG4 reduction is maximized in closed form; declining it
         # leaves them to the see-saw.
-        monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor: None)
         drop_memos(monkeypatch)
         monkeypatch.setattr("svl.svetlichny._MAX_SWEEPS", 1)
         argv = ["figure", "FIG4", "--points", "2", "--restarts", "1"]

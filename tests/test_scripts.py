@@ -1,6 +1,7 @@
 """The scripts in scripts/, run as their own processes."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import pathlib
@@ -81,3 +82,26 @@ def test_readme_examples_run(tmp_path):
         proc = run(tmp_path, "-m", "svl", *argv[1:])
         assert proc.returncode == 0, (argv, proc.stderr)
     assert len((tmp_path / "fig1.csv").read_text().splitlines()) == 92
+
+
+def test_cli_corpus_runs_every_verb_bound_figure_and_help():
+    spec = importlib.util.spec_from_file_location("compare_base", SCRIPTS / "compare_base.py")
+    compare_base = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_base)
+    corpus = compare_base.read_corpus(compare_base.CORPUS)
+    runs = [argv for argv in corpus if "--help" not in argv]
+    helps = {tuple(argv[:-1]) for argv in corpus if argv[-1] == "--help"}
+    verbs = ("state", "reduce", "bound", "maximize", "tensor", "tradeoff", "figure")
+    names = [("tradeoff", b) for b in svl.BOUND_NAMES] + [("figure", f) for f in svl.FIGURES]
+    assert helps == {(), *((v,) for v in verbs), *names}
+    def fmt(argv):
+        if "--format" in argv:
+            return argv[argv.index("--format") + 1]
+        return "csv" if argv[0] in ("tensor", "figure") else "json"
+
+    for verb in verbs:
+        assert {fmt(a) for a in runs if a[0] == verb} == {"json", "csv"}, verb
+        assert any(a[0] == verb and "--output" in a for a in runs), verb
+    assert {tuple(a[:2]) for a in runs} >= set(names)
+    for verb in ("reduce", "bound", "maximize", "tensor"):
+        assert any(a[0] == verb and "--reduce=0,1,5" in a for a in runs), verb

@@ -435,7 +435,7 @@ class TestMaximize:
         # not move them off the maximum.  The closed form, which would take
         # the reduction, is declined.
         rho = reduce_pure(make_gghz(4, 0.3), (0, 1, 2))
-        monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        monkeypatch.setattr("svl.svetlichny._exact_directions", lambda tensor: None)
         drop_memos(monkeypatch)
         best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
         assert best.converged
@@ -618,7 +618,7 @@ def family_reductions():
 def seesaw_only(rho, opts, monkeypatch):
     # The closed form kept from an earlier call on rho is dropped too.
     with monkeypatch.context() as patch:
-        patch.setattr("svl.svetlichny._exact_directions", lambda tensor, bound: None)
+        patch.setattr("svl.svetlichny._exact_directions", lambda tensor: None)
         drop_memos(patch)
         return maximize_svetlichny(rho, opts)
 
@@ -675,7 +675,7 @@ class TestExactPath:
         for rho in states:
             tensor = correlation_tensor(rho)
             upper = svetlichny_upper_bound(rho)
-            assert _exact_directions(tensor, upper) is None
+            assert _exact_directions(tensor) is None
             best = maximize_svetlichny(rho, OptimizerOptions(restarts=8))
             assert best.evaluations > 0
             assert best.value < upper - 1e-9
