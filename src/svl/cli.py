@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 from .correlations import chsh_max, correlation_tensor, svetlichny_upper_bound
@@ -67,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="non-negative seed for all randomized restarts "
                                 "(default %(default)s)")
     optimizer.add_argument("--restarts", type=int, default=OptimizerOptions.restarts,
-                           help="optimizer restarts (default %(default)s)")
+                           help="cap on optimizer restarts, run 8 at a time until two "
+                                "reach the best value (default %(default)s)")
     optimizer.add_argument("--allow-unconverged", action="store_true",
                            help="exit 0 even when the optimizer did not converge")
 
@@ -228,6 +230,12 @@ def _run_figure(args):
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a keep such as -1,2 as a flag; joined to --reduce it
+    # reaches the keep check.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--reduce" and re.match(r"-\d", argv[i + 1]):
+            argv[i:i + 2] = [f"--reduce={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -288,8 +288,15 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
     return v, value, sweeps, converged
 
 
-# Largest restart budget, checked before the starts are drawn: the see-saw
-# peaks near 15 KB per restart (its Newton step), so 10**4 take ~150 MB.
+# Restarts per _seesaw call, and the distance from the best value within
+# which a restart counts as a hit (maximize_svetlichny).
+_BATCH = 8
+_HIT_TOL = 1e-9
+
+# Largest restart budget, checked before the starts are drawn.  The
+# see-saw holds one batch at a time (its Newton step peaks near 15 KB per
+# restart), so the cap bounds time, not memory: where no two restarts
+# agree, 10**4 restarts run every batch.
 MAX_RESTARTS = 10**4
 
 
@@ -297,8 +304,8 @@ MAX_RESTARTS = 10**4
 class OptimizerOptions:
     """Controls for the multi-start see-saw over measurement directions.
 
-    restarts: number of independent uniform-random starting points,
-        1 to MAX_RESTARTS.
+    restarts: cap on the uniform-random starting points run, 1 to
+        MAX_RESTARTS; maximize_svetlichny stops earlier once two agree.
     seed: non-negative seed from which all restart seeds are derived.
     Both are integers, checked when built (DomainError); the sweep cap
     and the tolerance are fixed (_seesaw).
@@ -328,11 +335,16 @@ def _starts(seed: int, restarts: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvetlichnyMaximum:
-    """Result of a settings search: value, argmax, and convergence state."""
+    """Result of a settings search: value, argmax, and convergence state.
+
+    restarts counts the see-saw restarts run and hits those within
+    _HIT_TOL of value; both are 0 on the closed-form path.
+    """
 
     value: float
     converged: bool
     restarts: int
+    hits: int
     evaluations: int
     settings: SvetlichnySettings
 
@@ -464,10 +476,16 @@ def maximize_svetlichny(rho: DensityMatrix,
     saddle-free Newton step (Dauphin et al., NeurIPS 2014) on a, a', b,
     b' with c, c' at their best, or a saddle escape (_newton_step).
     Restart k starts from unit vectors drawn with the seed (opts.seed, k)
-    (_starts), and no other restart changes its arithmetic, so a larger
-    budget keeps the earlier restarts.  evaluations counts sweeps over
-    all restarts; a best restart stopped unconverged by _MAX_SWEEPS gives
-    its value with converged False.  See-saw results are not kept.
+    (_starts), and no other restart changes its arithmetic.  opts.restarts
+    is a cap: the restarts run in order, _BATCH at a time, and stop after
+    the first batch at which at least two of all those run so far lie
+    within _HIT_TOL of their best value, or at the cap.  So a larger cap
+    runs a superset of the restarts, and a cap of at most _BATCH runs all
+    of them.  The result is the first best restart run: restarts counts
+    the restarts run, hits those within _HIT_TOL of the best, and
+    evaluations their sweeps; a best restart stopped unconverged by
+    _MAX_SWEEPS gives its value with converged False.  See-saw results
+    are not kept.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -476,13 +494,21 @@ def maximize_svetlichny(rho: DensityMatrix,
     if settings is not None:
         value = svetlichny_value(rho, settings)
         if abs(value - tensor._upper_bound) <= _EXACT_TOL:
-            return SvetlichnyMaximum(value=value, converged=True, restarts=opts.restarts,
+            return SvetlichnyMaximum(value=value, converged=True, restarts=0, hits=0,
                                      evaluations=0, settings=settings)
-    v, value, sweeps, converged = _seesaw(tensor.m, _starts(opts.seed, opts.restarts))
+    starts = _starts(opts.seed, opts.restarts)
+    batches = []
+    for first in range(0, opts.restarts, _BATCH):
+        batches.append(_seesaw(tensor.m, starts[first:first + _BATCH]))
+        value = np.concatenate([batch[1] for batch in batches])
+        hits = int(np.count_nonzero(value >= value.max() - _HIT_TOL))
+        if hits >= 2:
+            break
+    v, value, sweeps, converged = (np.concatenate(part) for part in zip(*batches))
     best = int(np.argmax(value))
     settings = _settings(v[best])
     return SvetlichnyMaximum(value=svetlichny_value(rho, settings),
-                             converged=bool(converged[best]), restarts=opts.restarts,
+                             converged=bool(converged[best]), restarts=len(value), hits=hits,
                              evaluations=int(sweeps.sum()), settings=settings)
 
 

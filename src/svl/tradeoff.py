@@ -261,9 +261,26 @@ class ReductionResult:
     converged: bool
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose items cannot be set or removed; json, copy, pickle and
+    dataclasses.asdict still take it as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the params of a report are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class TradeoffReport:
-    """Outcome of checking one trade-off bound against maximization."""
+    """Outcome of checking one trade-off bound against maximization.
+
+    params is a read-only copy of the mapping given, so that it cannot
+    drift from the rhs and satisfied computed from it.
+    """
 
     family: str
     params: Mapping[str, object]
@@ -276,6 +293,9 @@ class TradeoffReport:
     satisfied: bool
     gap: float
     converged: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _ReadOnlyDict(self.params))
 
 
 def _wcoeffs(spec: StateSpec) -> WClassCoefficients:
@@ -353,7 +373,7 @@ def verify_tradeoff(spec: StateSpec, bound: str,
         lhs = sum(r.value**2 for r in results)
     return TradeoffReport(
         family=spec.family,
-        params=dict(spec.params),
+        params=spec.params,
         bound=bound,
         mode=rule.mode,
         variant=variant,

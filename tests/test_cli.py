@@ -191,6 +191,7 @@ class TestErrors:
         (["state", "--state", "[1, 2]"], 2),
         (["bound", "--state", GGHZ4, "--reduce", "0,x,2"], 2),
         (["reduce", "--state", GGHZ4, "--reduce", "0,4"], 2),
+        (["reduce", "--state", GGHZ4, "--reduce", "--format", "csv"], 2),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, *argv)
@@ -221,6 +222,16 @@ class TestErrors:
             _check_keep(tuple(map(int, keep.split(","))), 5)
         code, out, err = run_cli(capsys, verb, "--state", GGHZ5, f"--reduce={keep}")
         assert (code, out, err) == (2, "", f"svl: {fault.value}\n")
+
+    @pytest.mark.parametrize("verb, keep", [("reduce", "-1,2"), ("bound", "-1,2"),
+                                            ("maximize", "-1,2,3"), ("tensor", "-2,0,1")])
+    def test_negative_keep_as_its_own_argument_reaches_the_keep_check(self, capsys, verb,
+                                                                       keep):
+        # argparse alone reads -1,2 as a flag: "expected one argument".
+        code, out, err = run_cli(capsys, verb, "--state", GGHZ5, "--reduce", keep)
+        first = keep.split(",")[0]
+        assert (code, out, err) == (
+            2, "", f"svl: need an integer kept qubit index in [0, 4], got {first}\n")
 
     @pytest.mark.parametrize("text", ["0,x,2", "", "0,,1"])
     def test_bad_index_list_quotes_the_list(self, capsys, text):

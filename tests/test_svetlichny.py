@@ -486,6 +486,80 @@ class TestMaximize:
         assert np.all(np.isfinite(best.settings.angles()))
 
 
+def held_out_reductions():
+    """(label, matrix) of 110 see-saw reductions, drawn apart from the
+    benchmark's inputs: full-rank mixed states from criterion 09's
+    generator, rank 1-3 mixed states, W-class reductions, Dicke(n, m)
+    reductions for n = 4..8 and p|GHZ><GHZ| + (1 - p)|W><W| mixtures."""
+    rng = np.random.default_rng(7001)
+    rows = [("mixed", DensityMatrix(3, random_density_entries(3, rng))) for _ in range(20)]
+    for rank in (1, 2, 3):
+        for _ in range(8):
+            g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+            m = g @ g.conj().T
+            rows.append((f"rank {rank}", DensityMatrix(3, m / np.trace(m).real)))
+    for _ in range(6):
+        coeffs = rng.normal(size=5)
+        psi = make_wclass(*(coeffs / np.linalg.norm(coeffs)))
+        rows += [(f"wclass {keep}", reduce_pure(psi, keep)) for keep in combinations(range(4), 3)]
+    # Dicke(n, n/2) has a zero tensor, which the closed form takes.
+    rows += [(f"dicke({n}, {m})", reduce_pure(make_dicke(n, m), (0, 1, 2)))
+             for n in range(4, 9) for m in range(1, n) if 2 * m != n]
+    # p = 1, the GHZ state, would take the closed form.
+    ghz, w = (to_density(psi).entries for psi in (make_gghz(3, math.pi / 4), make_dicke(3, 2)))
+    rows += [(f"mixture {p:.2f}", DensityMatrix(3, p * ghz + (1 - p) * w))
+             for p in np.linspace(0.0, 0.95, 20)]
+    return rows
+
+
+class TestRestartCap:
+    def test_default_cap_reaches_the_full_budget_on_held_out_reductions(self):
+        # The stop rule's go/no-go: stopping once two restarts agree loses
+        # nothing against running all 64 starts.  A larger cap runs more
+        # restarts, so its value is never lower, up to the rounding of
+        # svetlichny_value on different settings.
+        rows = held_out_reductions()
+        assert len(rows) >= 100
+        for label, rho in rows:
+            full = _seesaw(correlation_tensor(rho).m, _starts(42, 64))[1].max()
+            best = maximize_svetlichny(rho)
+            assert best.evaluations > 0, label
+            assert best.value >= full - 1e-9, label
+            previous = -math.inf
+            for cap in (1, 7, 8, 9, 16, 64):
+                run = maximize_svetlichny(rho, OptimizerOptions(restarts=cap))
+                assert run.value >= previous - 1e-12, (label, cap)
+                assert run.restarts == cap or run.restarts % 8 == 0, (label, cap)
+                assert run.restarts <= cap and 1 <= run.hits <= run.restarts, (label, cap)
+                assert run.restarts == cap or run.hits >= 2, (label, cap)
+                previous = run.value
+            assert run == best
+
+    @pytest.mark.parametrize("cap", [1, 8, 9, 20])
+    def test_without_agreement_every_restart_runs(self, monkeypatch, cap):
+        # No restart counts as a hit, so the cap runs in full, its last
+        # batch partial where the cap is not a multiple of 8, and the
+        # result is that of one see-saw call on all the starts.
+        monkeypatch.setattr("svl.svetlichny._HIT_TOL", -1.0)
+        rho = w3()
+        best = maximize_svetlichny(rho, OptimizerOptions(restarts=cap, seed=3))
+        v, value, sweeps, converged = _seesaw(correlation_tensor(rho).m, _starts(3, cap))
+        k = int(np.argmax(value))
+        assert (best.restarts, best.hits) == (cap, 0)
+        assert (best.evaluations, best.converged) == (int(sweeps.sum()), bool(converged[k]))
+        want = SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v[k]))
+        assert best.settings.angles().tobytes() == want.angles().tobytes()
+        assert best.value == pytest.approx(value[k], abs=1e-12)
+
+    def test_stops_after_the_first_batch_with_two_hits(self, monkeypatch):
+        batches = []
+        monkeypatch.setattr("svl.svetlichny._seesaw",
+                            lambda m, v: batches.append(len(v)) or _seesaw(m, v))
+        best = maximize_svetlichny(w3(), OptimizerOptions(restarts=64))
+        assert batches == [8]
+        assert best.restarts == 8 and 2 <= best.hits <= 8
+
+
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
@@ -689,7 +763,8 @@ class TestExactPath:
             results = [maximize_svetlichny(rho, OptimizerOptions(restarts=r, seed=s))
                        for r, s in ((1, 0), (8, 7), (64, 42), (MAX_RESTARTS, 12345))]
             for best in results:
-                assert (best.converged, best.evaluations) == (True, 0)
+                assert (best.converged, best.restarts, best.hits, best.evaluations) == (
+                    True, 0, 0, 0)
                 assert best.value == results[0].value
                 assert (best.settings.angles().tobytes()
                         == results[0].settings.angles().tobytes())

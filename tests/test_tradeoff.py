@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -575,9 +576,29 @@ class TestVerifyTradeoff:
         with pytest.raises(TypeError):
             spec.params["theta"] = 1.2
         report = verify_tradeoff(spec, "theorem1", OptimizerOptions(restarts=2))
-        assert type(report.params) is dict and report.params == {"theta": 0.3}
+        assert report.params == {"theta": 0.3}
         assert report.rhs == bound_gghz_sum(0.3) and report.satisfied
         assert json.loads(json.dumps(dataclasses.asdict(report)))["params"] == {"theta": 0.3}
+
+    def test_report_params_cannot_be_edited(self):
+        # An edit would rewrite the JSON params under the old rhs and verdict.
+        report = verify_tradeoff(StateSpec("GGHZ", 4, {"theta": 0.3}), "theorem1",
+                                 OptimizerOptions(restarts=2))
+        with pytest.raises(TypeError):
+            report.params["theta"] = 1.2
+        edits = [lambda p: p.__delitem__("theta"), lambda p: p.update(theta=1.2),
+                 lambda p: p.setdefault("x", 1), lambda p: p.pop("theta"),
+                 lambda p: p.popitem(), lambda p: p.clear()]
+        for edit in edits:
+            with pytest.raises(TypeError):
+                edit(report.params)
+        assert report.params == {"theta": 0.3}
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin == report
+            with pytest.raises(TypeError):
+                twin.params["theta"] = 1.2
+        assert json.dumps(dataclasses.asdict(report)).startswith(
+            '{"family": "GGHZ", "params": {"theta": 0.3}, "bound": "theorem1"')
 
 
 class TestSweepFigure:
