@@ -9,7 +9,8 @@ revision's, each in a fresh process under PYTHONHASHSEED=0 and
 COLUMNS=80, in its own empty working directory.  A difference in stdout,
 stderr, exit code, or the names or bytes of the files the run leaves in
 its working directory (--output) is reported; the script exits 1 if any
-line differs, else 0.
+line differs, else 0.  Where two outputs differ only in their numbers,
+the report says so and gives the largest absolute difference.
 
 The revision is checked out with `git worktree add --detach` into a
 temporary directory, which is removed afterwards.
@@ -22,6 +23,7 @@ import difflib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,8 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scripts" / "cli_corpus.txt"
 TIMEOUT = 120.0  # seconds per run; the slowest corpus line takes about 1 s
+# A decimal number that is not part of a word such as FIG4.
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def read_corpus(path: pathlib.Path) -> list[list[str]]:
@@ -55,13 +59,25 @@ def run(tree: pathlib.Path, argv: list[str]) -> dict:
             "files": files}
 
 
+def number_gap(base: str, here: str) -> float | None:
+    """Largest absolute difference between the numbers of two texts that
+    differ only in their numbers, else None."""
+    if NUMBER.split(base) != NUMBER.split(here):
+        return None
+    return max(abs(float(x) - float(y))
+               for x, y in zip(NUMBER.findall(base), NUMBER.findall(here)))
+
+
 def describe(name: str, base, here) -> list[str]:
     """Lines that show how one part of two runs differs."""
     if isinstance(base, bytes):
-        diff = difflib.unified_diff(base.decode(errors="replace").splitlines(),
-                                    here.decode(errors="replace").splitlines(),
+        base, here = base.decode(errors="replace"), here.decode(errors="replace")
+        gap = number_gap(base, here)
+        title = f"  {name}:" if gap is None else (
+            f"  {name}: differs only in numbers, by at most {gap!r}")
+        diff = difflib.unified_diff(base.splitlines(), here.splitlines(),
                                     "base", "here", lineterm="", n=1)
-        return [f"  {name}:", *(f"    {line}" for line in list(diff)[:20])]
+        return [title, *(f"    {line}" for line in list(diff)[:20])]
     if isinstance(base, dict):
         lines = []
         for key in sorted(base.keys() | here.keys()):

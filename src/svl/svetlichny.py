@@ -66,6 +66,12 @@ class BlochVector:
                    math.atan2(v[1], v[0]))
 
 
+# S is the sum over x, y, z in {0, 1} of _SIGN[x, y, z] X_x Y_y Z_z, where
+# index 1 picks a party's primed setting: a term is negative when two or
+# more of its settings are primed.
+_SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]])
+
+
 @dataclass(frozen=True)
 class SvetlichnySettings:
     """Six measurement directions, two per party."""
@@ -81,44 +87,35 @@ class SvetlichnySettings:
         return np.array(astuple(self), dtype=float).ravel()
 
     @functools.cached_property
-    def _observables(self) -> np.ndarray:
-        """The observables of a, a', b + b', b - b', c and c' that
-        svetlichny_value contracts, as three immutable (2, 2, 2) pairs:
-        built once per settings, so a kept closed form reuses them."""
-        a, ap, b, bp, c, cp = (v.cartesian for v in (self.a, self.a_p, self.b,
-                                                     self.b_p, self.c, self.c_p))
-        obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
-        return _immutable(obs.reshape(3, 2, 2, 2))
-
-
-# S in the four terms of the module docstring, with D = B + B' and
-# D' = B - B': the sum over x, w, z of _TERMS[x, w, z] X_x W_w Z_z, where
-# index 1 picks A', D' and C'.
-_TERMS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]])
+    def _operator(self) -> np.ndarray:
+        """The 8x8 operator S of the module docstring, immutable: built
+        once per settings, so a kept closed form reuses it."""
+        v = np.array([u.cartesian for u in (self.a, self.a_p, self.b, self.b_p,
+                                            self.c, self.c_p)])
+        x, y, z = (v @ PAULIS.reshape(3, 4)).reshape(3, 2, 2, 2)
+        # d[x, z] sums _SIGN[x, y, z] Y_y: B + B', B - B', B - B' and
+        # -(B + B').  Term [x, z] is X_x (x) d[x, z] (x) Z_z, multiplied in
+        # np.kron's order; the four terms are summed in _SIGN's order.
+        d = np.einsum("xyz,ybe->xzbe", _SIGN, y)
+        xd = (x[:, None, :, None, :, None] * d[:, :, None, :, None, :]).reshape(2, 2, 4, 4)
+        terms = xd[:, :, :, None, :, None] * z[None, :, None, :, None, :]
+        return _immutable(terms.reshape(4, 8, 8).sum(axis=0))
 
 
 def svetlichny_value(rho: DensityMatrix, s: SvetlichnySettings) -> float:
     """Expectation Tr(S rho); always within [-4*sqrt(2), 4*sqrt(2)].
 
-    One contraction of _TERMS, the observables of a, a', b + b', b - b',
-    c, c' (built once per settings, SvetlichnySettings._observables) and
-    rho as rho[d, e, f, a, b, c] (row def, column abc), since
-    Tr(A x D x C rho) sums A[a, d] D[b, e] C[c, f] rho[d, e, f, a, b, c].
-    It builds neither the 8x8 operator nor the correlation tensor, so it
-    stays an independent check of the tensor's route.  Where b = b' (case
-    A of _exact_directions), D' is exactly zero.  The imaginary residue,
-    bounded by rho's Hermiticity (qstate._check_density), is dropped.
+    One 64-term dot product of rho with the settings' operator (built
+    once per settings, SvetlichnySettings._operator): S is Hermitian, so
+    Tr(S rho) sums conj(S[i, j]) rho[i, j].  It never builds the
+    correlation tensor, so it stays an independent check of the tensor's
+    route.  The imaginary residue, bounded by rho's Hermiticity
+    (qstate._check_density), is dropped.
     """
     if rho.num_qubits != 3:
         raise InvalidArityError(f"need a 3-qubit state, got {rho.num_qubits} qubits")
-    return float(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *s._observables,
-                           rho.entries.reshape((2,) * 6)).real)
+    return float(np.vdot(s._operator, rho.entries).real)
 
-
-# S is the sum over x, y, z in {0, 1} of _SIGN[x, y, z] X_x Y_y Z_z, where
-# index 1 picks a party's primed setting: a term is negative when two or
-# more of its settings are primed.
-_SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]])
 
 # A coefficient vector at most this long keeps its old direction; such a
 # party contributes at most twice this much to the value.
@@ -293,10 +290,12 @@ def _seesaw(m: np.ndarray, v: np.ndarray):
 _BATCH = 8
 _HIT_TOL = 1e-9
 
-# Largest restart budget, checked before the starts are drawn.  The
-# see-saw holds one batch at a time (its Newton step peaks near 15 KB per
-# restart), so the cap bounds time, not memory: where no two restarts
-# agree, 10**4 restarts run every batch.
+# Largest restart budget, checked before any start is drawn.  Each batch
+# draws its starts only when it runs, and the see-saw holds one batch at
+# a time (its Newton step peaks near 15 KB per restart), so the cap
+# bounds time, not memory: a call that stops after its first batch costs
+# the same at any cap, and where no two restarts agree, 10**4 restarts
+# run every batch.
 MAX_RESTARTS = 10**4
 
 
@@ -321,14 +320,17 @@ class OptimizerOptions:
 
 
 @functools.lru_cache(maxsize=8)
-def _starts(seed: int, restarts: int) -> np.ndarray:
-    """Unit-vector starts (restarts, 6, 3) of maximize_svetlichny.
+def _starts(seed: int, start: int, stop: int) -> np.ndarray:
+    """Unit-vector starts (stop - start, 6, 3) of restarts start to
+    stop - 1 of maximize_svetlichny.
 
-    Restart k draws from a generator seeded by (seed, k), so a longer list
-    extends a shorter one.  Cached per (seed, restarts) and immutable.
+    Restart k draws from a generator seeded by (seed, k), the child
+    SeedSequence(seed).spawn gives as its k-th, so any range of restarts
+    is the matching rows of a longer one.  Cached per (seed, start, stop)
+    and immutable.
     """
-    starts = np.array([np.random.default_rng(child).normal(size=(6, 3))
-                       for child in np.random.SeedSequence(seed).spawn(restarts)])
+    starts = np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                       .normal(size=(6, 3)) for k in range(start, stop)])
     starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
     return _immutable(starts)
 
@@ -442,15 +444,22 @@ def _exact_directions(tensor) -> SvetlichnySettings | None:
     d, dp = left[:, 2], left[:, 1]
     g, gp = (d @ flat).reshape(3, 3), (dp @ flat).reshape(3, 3)
     degenerate = lam[2] - lam[1] <= bound * _EXACT_TOL
+    m = tensor.m.reshape(3, 9)
     for v in _candidates(g, gp, d, dp, degenerate):
-        value = np.einsum("xyz,ijk,xi,yj,zk->", _SIGN, tensor.m, v[:2], v[2:4], v[4:])
+        # The value's terms [x, y, z]: m contracted with a_x, b_y and c_z.
+        value = np.vdot(_SIGN, v[2:4] @ (v[:2] @ m).reshape(2, 3, 3) @ v[4:].T)
         if abs(value - bound) <= _EXACT_TOL:
             return _settings(v)
     return None
 
 
 def _settings(v: np.ndarray) -> SvetlichnySettings:
-    return SvetlichnySettings(*(BlochVector.from_cartesian(u) for u in v))
+    """Settings along the rows of v (6, 3), which the closed form and the
+    see-saw leave normalized: the angles of BlochVector.from_cartesian,
+    bit for bit, without its input checks."""
+    v = (v / np.sqrt([u @ u for u in v])[:, None]).tolist()
+    return SvetlichnySettings(*(BlochVector(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+                                for x, y, z in v))
 
 
 def maximize_svetlichny(rho: DensityMatrix,
@@ -471,21 +480,21 @@ def maximize_svetlichny(rho: DensityMatrix,
 
     See-saw: the value is linear in each party's pair of settings, so
     the best pair for fixed others is the normalized pair of coefficient
-    vectors.  All restarts sweep over the parties in one batch (Pal and
-    Vertesi, PRA 82, 022116 (2010)), and each sweep ends with a
+    vectors.  The restarts of a batch sweep over the parties together (Pal
+    and Vertesi, PRA 82, 022116 (2010)), and each sweep ends with a
     saddle-free Newton step (Dauphin et al., NeurIPS 2014) on a, a', b,
     b' with c, c' at their best, or a saddle escape (_newton_step).
     Restart k starts from unit vectors drawn with the seed (opts.seed, k)
-    (_starts), and no other restart changes its arithmetic.  opts.restarts
-    is a cap: the restarts run in order, _BATCH at a time, and stop after
-    the first batch at which at least two of all those run so far lie
-    within _HIT_TOL of their best value, or at the cap.  So a larger cap
-    runs a superset of the restarts, and a cap of at most _BATCH runs all
-    of them.  The result is the first best restart run: restarts counts
-    the restarts run, hits those within _HIT_TOL of the best, and
-    evaluations their sweeps; a best restart stopped unconverged by
-    _MAX_SWEEPS gives its value with converged False.  See-saw results
-    are not kept.
+    (_starts) when its batch runs, and no other restart changes its
+    arithmetic.  opts.restarts is a cap: the restarts run in order,
+    _BATCH at a time, and stop after the first batch at which at least
+    two of all those run so far lie within _HIT_TOL of their best value,
+    or at the cap.  So a larger cap runs a superset of the restarts, and
+    a cap of at most _BATCH runs all of them.  The result is the first
+    best restart run: restarts counts the restarts run, hits those within
+    _HIT_TOL of the best, and evaluations their sweeps; a best restart
+    stopped unconverged by _MAX_SWEEPS gives its value with converged
+    False.  See-saw results are not kept.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -496,10 +505,10 @@ def maximize_svetlichny(rho: DensityMatrix,
         if abs(value - tensor._upper_bound) <= _EXACT_TOL:
             return SvetlichnyMaximum(value=value, converged=True, restarts=0, hits=0,
                                      evaluations=0, settings=settings)
-    starts = _starts(opts.seed, opts.restarts)
     batches = []
     for first in range(0, opts.restarts, _BATCH):
-        batches.append(_seesaw(tensor.m, starts[first:first + _BATCH]))
+        starts = _starts(opts.seed, first, min(first + _BATCH, opts.restarts))
+        batches.append(_seesaw(tensor.m, starts))
         value = np.concatenate([batch[1] for batch in batches])
         hits = int(np.count_nonzero(value >= value.max() - _HIT_TOL))
         if hits >= 2:

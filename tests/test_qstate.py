@@ -400,10 +400,10 @@ class TestCheckMemo:
         lambda: CorrelationTensor3(np.zeros((3, 3, 3))).m,
         lambda: CorrelationMatrix2(np.eye(3)).t,
         lambda: PAULIS,
-        lambda: SvetlichnySettings(*[BlochVector(0.3, 0.2)] * 6)._observables,
-        lambda: _starts(5, 4),
+        lambda: SvetlichnySettings(*[BlochVector(0.3, 0.2)] * 6)._operator,
+        lambda: _starts(5, 0, 4),
     ], ids=["DensityMatrix", "later keep", "CorrelationTensor3", "CorrelationMatrix2",
-            "PAULIS", "observables", "starts"])
+            "PAULIS", "operator", "starts"])
     def test_kept_arrays_cannot_be_made_writeable(self, kept):
         with pytest.raises(ValueError):
             kept().setflags(write=True)

@@ -84,10 +84,32 @@ def test_readme_examples_run(tmp_path):
     assert len((tmp_path / "fig1.csv").read_text().splitlines()) == 92
 
 
-def test_cli_corpus_runs_every_verb_bound_figure_and_help():
+def load_compare_base():
     spec = importlib.util.spec_from_file_location("compare_base", SCRIPTS / "compare_base.py")
     compare_base = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_base)
+    return compare_base
+
+
+def test_compare_base_says_when_only_numbers_differ():
+    describe = load_compare_base().describe
+    base = b'{"value": 4.354648431614541, "keep": [0, 1, 2]}\n0.5,x2\n'
+    here = b'{"value": 4.3546484316145415, "keep": [0, 1, 2]}\n-0.25,x2\n'
+    lines = describe("stdout", base, here)
+    assert lines[0] == "  stdout: differs only in numbers, by at most 0.75"
+    assert '    -{"value": 4.354648431614541, "keep": [0, 1, 2]}' in lines
+    assert '    +{"value": 4.3546484316145415, "keep": [0, 1, 2]}' in lines
+    # Any other change, even beside a moved number, is a plain difference.
+    for other in (b'{"value": 4.354648431614541, "keep": [0, 1, 3]}\n0.5,x3\n',
+                  b'{"value": 4.3546484316145415, "keep": [0, 1, 2]}\n0.5,y2\n',
+                  b'{"value": 4.354648431614541, "keep": [0, 1, 2]}\n0.5,x2\n\n'):
+        assert describe("stdout", base, other)[0] == "  stdout:"
+    assert describe("file out.csv", b"1,2\n", b"1,3\n")[0] == (
+        "  file out.csv: differs only in numbers, by at most 1.0")
+
+
+def test_cli_corpus_runs_every_verb_bound_figure_and_help():
+    compare_base = load_compare_base()
     corpus = compare_base.read_corpus(compare_base.CORPUS)
     runs = [argv for argv in corpus if "--help" not in argv]
     helps = {tuple(argv[:-1]) for argv in corpus if argv[-1] == "--help"}

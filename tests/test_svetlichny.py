@@ -33,8 +33,8 @@ from svl import (
     to_density,
 )
 from svl.svetlichny import (
-    MAX_RESTARTS, _SIGN, _TERMS, _coefficients, _exact_directions,
-    _grid_directions, _newton_step, _schur, _seesaw, _starts, _sweep, _table,
+    MAX_RESTARTS, _SIGN, _coefficients, _exact_directions, _grid_directions,
+    _newton_step, _schur, _seesaw, _settings, _starts, _sweep, _table,
 )
 from svl import correlations
 from svl.correlations import PAULIS, correlation_tensor
@@ -114,15 +114,18 @@ class TestOperator:
             4 * SQRT2, abs=1e-12)
 
     def test_matches_kron_oracle_exactly(self, rng):
-        # svetlichny_operator and the oracle take the same np.kron products.
+        # svetlichny_operator and the oracle take the same np.kron products;
+        # the settings' own operator, which svetlichny_value reads, is
+        # built by another route.
         axes = [X_DIR, Y_DIR, Z_DIR, BlochVector(math.pi / 2, math.pi)]
-        cases = [random_settings(rng) for _ in range(50)]
+        cases = [random_settings(rng) for _ in range(200)]
         cases += [SvetlichnySettings(*(axes[k % 4] for k in range(i, i + 6)))
                   for i in range(4)]
         for s in cases:
             vecs = [v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p)]
             assert np.array_equal(svetlichny_operator(s),
                                   oracle_svetlichny_matrix(*vecs))
+            assert np.abs(s._operator - svetlichny_operator(s)).max() <= 1e-15
 
     def test_hermitian_and_norm_capped(self, rng):
         for _ in range(20):
@@ -190,24 +193,22 @@ class TestValue:
         with pytest.raises(InvalidArityError):
             svetlichny_value(maximally_mixed(2), optimal_ghz_settings())
 
-    def test_observables_are_built_once_per_settings(self, rng, monkeypatch):
+    def test_operator_is_built_once_per_settings(self, rng, monkeypatch):
         rho = DensityMatrix(3, random_density_entries(3, rng))
         s = random_settings(rng)
-        # The contraction of the observables built afresh from the angles.
-        a, ap, b, bp, c, cp = (v.cartesian for v in (s.a, s.a_p, s.b, s.b_p, s.c, s.c_p))
-        obs = np.einsum("vi,ijk->vjk", np.array([a, ap, b + bp, b - bp, c, cp]), PAULIS)
-        want = complex(np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS,
-                                 *obs.reshape(3, 2, 2, 2),
-                                 rho.entries.reshape((2,) * 6))).real
         first = svetlichny_value(rho, s)
-        assert first == want
-        assert not s._observables.flags.writeable
+        op = s._operator
+        assert not op.flags.writeable
+        assert op.shape == (8, 8)
+        assert np.abs(op - svetlichny_operator(s)).max() <= 1e-15
+        assert first == np.vdot(op, rho.entries).real
 
         def refuse(v):
-            raise AssertionError("observables built again")
+            raise AssertionError("operator built again")
 
         monkeypatch.setattr(BlochVector, "cartesian", property(refuse))
         assert svetlichny_value(rho, s) == first
+        assert s._operator is op
 
 
 class TestDroppedResidue:
@@ -237,8 +238,7 @@ class TestDroppedResidue:
         np.testing.assert_array_equal(correlation_tensor(rho).m, traces.real)
         values = []
         for s in settings:
-            value = np.einsum("xwz,xad,wbe,zcf,defabc->", _TERMS, *s._observables,
-                              rho.entries.reshape((2,) * 6))
+            value = np.vdot(s._operator, rho.entries)
             assert svetlichny_value(rho, s) == value.real
             values.append(value)
         return np.abs(traces.imag).max(), np.abs(np.imag(values)).max()
@@ -313,6 +313,24 @@ class TestSettings:
         assert integral.dtype == np.float64 and integral.tolist() == [0.0] * 12
 
 
+class TestSettingsFromRows:
+    def test_angles_are_those_of_from_cartesian(self, rng):
+        # Unit rows as the closed form and the see-saw leave them, off unit
+        # length by rounding: random directions, directions within 1e-9 of
+        # +z or -z, and the poles and axes themselves.
+        v = rng.normal(size=(2000, 6, 3))
+        polar = rng.random(2000) < 0.5
+        v[polar, :, :2] *= 10.0 ** rng.uniform(-18, -9, size=(polar.sum(), 6, 1))
+        v[polar, :, 2] = np.where(v[polar, :, 2] < 0, -1.0, 1.0)
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        v *= 1.0 + rng.uniform(-4e-16, 4e-16, size=(2000, 6, 1))
+        axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-300, 0.0, 1.0],
+                         [0.0, -1e-17, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        for rows in [*v, axes]:
+            want = SvetlichnySettings(*map(BlochVector.from_cartesian, rows))
+            assert _settings(rows).angles().tobytes() == want.angles().tobytes()
+
+
 class TestMaximize:
     def test_ghz_reaches_maximum(self):
         best = maximize_svetlichny(ghz3(), OptimizerOptions(restarts=16))
@@ -377,14 +395,33 @@ class TestMaximize:
         assert best.value <= 4 * SQRT2 + 1e-9
 
     def test_starts_extend_and_are_read_only(self):
+        # Any range of restarts, such as one batch, is the matching rows
+        # of a longer draw.
         for seed in (0, 42, 12345):
-            short, long = _starts(seed, 8), _starts(seed, 64)
-            assert short.tobytes() == long[:8].tobytes()
-            assert _starts(seed, 8) is short
-            assert not short.flags.writeable
-            with pytest.raises(ValueError):
-                short[0, 0, 0] = 1.0
+            long = _starts(seed, 0, 64)
+            for start, stop in ((0, 8), (8, 16), (56, 64), (3, 11), (63, 64)):
+                batch = _starts(seed, start, stop)
+                assert batch.shape == (stop - start, 6, 3)
+                assert batch.tobytes() == long[start:stop].tobytes()
+                assert _starts(seed, start, stop) is batch
+                assert not batch.flags.writeable
+                with pytest.raises(ValueError):
+                    batch[0, 0, 0] = 1.0
             np.testing.assert_allclose(np.linalg.norm(long, axis=2), 1.0, atol=1e-15)
+
+    def test_a_call_draws_only_the_batches_it_runs(self, monkeypatch):
+        # The W state stops after its first batch, so a cap of 10**4 draws
+        # the same 8 starts as a cap of 8.
+        drawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: drawn.append(seed) or default_rng(seed))
+        _starts.cache_clear()
+        best = maximize_svetlichny(w3(), OptimizerOptions(restarts=MAX_RESTARTS, seed=11))
+        assert best.restarts == 8
+        assert len(drawn) == 8
+        assert best == maximize_svetlichny(w3(), OptimizerOptions(restarts=8, seed=11))
+        assert len(drawn) == 8
 
     def test_restart_cap_is_checked_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -521,7 +558,7 @@ class TestRestartCap:
         rows = held_out_reductions()
         assert len(rows) >= 100
         for label, rho in rows:
-            full = _seesaw(correlation_tensor(rho).m, _starts(42, 64))[1].max()
+            full = _seesaw(correlation_tensor(rho).m, _starts(42, 0, 64))[1].max()
             best = maximize_svetlichny(rho)
             assert best.evaluations > 0, label
             assert best.value >= full - 1e-9, label
@@ -543,7 +580,7 @@ class TestRestartCap:
         monkeypatch.setattr("svl.svetlichny._HIT_TOL", -1.0)
         rho = w3()
         best = maximize_svetlichny(rho, OptimizerOptions(restarts=cap, seed=3))
-        v, value, sweeps, converged = _seesaw(correlation_tensor(rho).m, _starts(3, cap))
+        v, value, sweeps, converged = _seesaw(correlation_tensor(rho).m, _starts(3, 0, cap))
         k = int(np.argmax(value))
         assert (best.restarts, best.hits) == (cap, 0)
         assert (best.evaluations, best.converged) == (int(sweeps.sum()), bool(converged[k]))
@@ -654,7 +691,7 @@ class TestNewtonStep:
         start = unit_rows(np.array([[0.025, 0.47, 0.882], [0.026, 0.47, -0.882],
                                     [-0.054, -0.998, -0.01], [-0.001, -0.008, 1.0],
                                     [0.001, 0.009, -1.0], [0.054, 0.998, 0.009]]))
-        top = _seesaw(m, _starts(42, 64))[1].max()
+        top = _seesaw(m, _starts(42, 0, 64))[1].max()
         assert _sweep(_table(m), start[None])[1][0] < top - 2e-3
         _, value, sweeps, converged = _seesaw(m, start[None])
         assert converged[0]
@@ -668,7 +705,7 @@ class TestNewtonStep:
             best = maximize_svetlichny(rho, OptimizerOptions(restarts=restarts))
             assert abs(best.value - want) <= 1e-9
             assert best.converged
-            assert _seesaw(correlation_tensor(rho).m, _starts(42, restarts))[3].all()
+            assert _seesaw(correlation_tensor(rho).m, _starts(42, 0, restarts))[3].all()
 
 
 def family_reductions():
