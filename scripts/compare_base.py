@@ -8,9 +8,12 @@ with # are skipped) is one JSON array of arguments.  Each is run as
 revision's, each in a fresh process under PYTHONHASHSEED=0 and
 COLUMNS=80, in its own empty working directory.  A difference in stdout,
 stderr, exit code, or the names or bytes of the files the run leaves in
-its working directory (--output) is reported; the script exits 1 if any
-line differs, else 0.  Where two outputs differ only in their numbers,
-the report says so and gives the largest absolute difference.
+its working directory (--output) is reported.  A line whose run on this
+tree prints a Python traceback is reported as a crash even when the
+revision's run prints the same: svl prints one `svl: ...` line for every
+error it expects.  The script exits 1 if any line differs or crashes,
+else 0.  Where two outputs differ only in their numbers, the report says
+so and gives the largest absolute difference.
 
 The revision is checked out with `git worktree add --detach` into a
 temporary directory, which is removed afterwards.
@@ -31,6 +34,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scripts" / "cli_corpus.txt"
 TIMEOUT = 120.0  # seconds per run; the slowest corpus line takes about 1 s
+TRACEBACK = b"Traceback (most recent call last)"
 # A decimal number that is not part of a word such as FIG4.
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 
@@ -95,7 +99,7 @@ def main() -> int:
     args = ap.parse_args()
     corpus = read_corpus(CORPUS)
 
-    differing = 0
+    differing = crashing = 0
     with tempfile.TemporaryDirectory(prefix="svl-base-") as parent:
         base = pathlib.Path(parent) / "tree"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
@@ -103,6 +107,9 @@ def main() -> int:
         try:
             for argv in corpus:
                 old, new = run(base, argv), run(ROOT, argv)
+                if TRACEBACK in new["stdout"] or TRACEBACK in new["stderr"]:
+                    crashing += 1
+                    print(f"CRASHES: {json.dumps(argv)}")
                 lines = [line for key in old if old[key] != new[key]
                          for line in describe(key, old[key], new[key])]
                 if lines:
@@ -111,8 +118,9 @@ def main() -> int:
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(base)], check=False)
-    print(f"{len(corpus)} command lines, {differing} differ from {args.base}")
-    return 1 if differing else 0
+    print(f"{len(corpus)} command lines, {differing} differ from {args.base}, "
+          f"{crashing} crash here")
+    return 1 if differing or crashing else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArityError
-from .qstate import DensityMatrix, _array, _derived, _finite, _immutable
+from .qstate import DensityMatrix, _array, _derived, _finite, _immutable, _Rebuilt
 
 __all__ = [
     "PAULIS",
@@ -51,7 +51,7 @@ def _frozen_correlations(x, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelationTensor3:
+class CorrelationTensor3(_Rebuilt):
     """Real 3x3x3 array of triple-Pauli expectation values."""
 
     m: np.ndarray
@@ -68,7 +68,7 @@ class CorrelationTensor3:
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelationMatrix2:
+class CorrelationMatrix2(_Rebuilt):
     """Real 3x3 matrix of pair-Pauli expectation values."""
 
     t: np.ndarray

@@ -13,9 +13,8 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from math import comb
-from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -93,8 +92,30 @@ def _immutable(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
+class _Rebuilt:
+    """Base of the records whose constructor checks, copies, freezes or caches:
+    pickle, copy.copy and copy.deepcopy rebuild one through the constructor from
+    its init fields, so each copy is checked and frozen again, with no cache."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+class _ReadOnlyDict(dict):
+    """A dict whose items cannot be set or removed; json, copy, pickle and
+    dataclasses.asdict still take it as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Rebuilt):
     """Normalized n-qubit state vector.
 
     A caller's contiguous complex amplitudes are frozen in place, not
@@ -118,11 +139,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def __reduce__(self):
-        # Unpickling rebuilds through the constructor, so the copy is
-        # checked and frozen again and starts without a class table.
-        return type(self), (self.num_qubits, self.amplitudes)
-
     @functools.cached_property
     def _classes(self) -> tuple[tuple[int, ...], dict[tuple[int, ...], DensityMatrix]]:
         """The run starts of the state and the reduced matrix of each
@@ -131,7 +147,7 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
 
     A matrix passes the full checks on the array given, keeps an
@@ -162,10 +178,6 @@ class DensityMatrix:
         _check_density(mat)
         object.__setattr__(self, "entries", _immutable(mat))
         object.__setattr__(self, "_memo", {})
-
-    def __reduce__(self):
-        # As for PureState: unpickling checks the copy again, with a new memo.
-        return type(self), (self.num_qubits, self.entries)
 
 
 def _check_density(mat: np.ndarray) -> None:
@@ -474,8 +486,15 @@ def _amplitudes(value: object) -> np.ndarray:
                      for re, im in value], dtype=complex)
 
 
+def _tupled(value: object, depth: int = 2) -> object:
+    """value's lists and tuples as tuples, down to CUSTOM's [re, im] pairs."""
+    if depth and isinstance(value, (list, tuple)):
+        return tuple(_tupled(v, depth - 1) for v in value)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
-class StateSpec:
+class StateSpec(_Rebuilt):
     """Description of a state family plus its parameters.
 
     JSON shapes accepted by from_dict (field "n" is the qubit count):
@@ -488,7 +507,8 @@ class StateSpec:
       {"family": "CUSTOM", "n": 3, "amplitudes": [[re, im], ...]}
 
     Construction checks the family and field names, _FAMILIES' builder
-    their values.  params is a read-only copy of the mapping given, values as given.
+    their values.  params is a read-only copy of the mapping given, values
+    as given, lists as tuples.
     """
 
     family: str
@@ -499,7 +519,8 @@ class StateSpec:
     def __post_init__(self):
         if not isinstance(self.params, Mapping):
             raise DomainError(f"params must be a mapping, got {type(self.params).__name__}")
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "params", _ReadOnlyDict(
+            {k: _tupled(v) for k, v in self.params.items()}))
         _check_fields(self.family, set(self.params), implicit={"n"})
         n = _integer("n", self.num_qubits)
         psi = _FAMILIES[self.family][1](n, self.params)
@@ -508,9 +529,6 @@ class StateSpec:
                                     f"qubits, got n={n}")
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "_pure", psi)
-
-    def __reduce__(self):
-        return type(self), (self.family, self.num_qubits, dict(self.params))
 
     def to_pure(self) -> PureState:
         return self._pure

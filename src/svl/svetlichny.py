@@ -21,7 +21,7 @@ import numpy as np
 from .correlations import PAULIS, correlation_tensor, flatten_correlation_tensor
 from .errors import DomainError, InvalidArityError
 from .qstate import (INPUT_NORMALIZATION_TOL, DensityMatrix, _array, _bounded_int, _derived,
-                     _finite, _immutable, _norm)
+                     _finite, _immutable, _norm, _Rebuilt)
 
 __all__ = [
     "BlochVector",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Rebuilt):
     """Measurement direction given by polar and azimuthal angles."""
 
     theta: float
@@ -73,7 +73,7 @@ _SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]])
 
 
 @dataclass(frozen=True)
-class SvetlichnySettings:
+class SvetlichnySettings(_Rebuilt):
     """Six measurement directions, two per party."""
 
     a: BlochVector
@@ -300,7 +300,7 @@ MAX_RESTARTS = 10**4
 
 
 @dataclass(frozen=True)
-class OptimizerOptions:
+class OptimizerOptions(_Rebuilt):
     """Controls for the multi-start see-saw over measurement directions.
 
     restarts: cap on the uniform-random starting points run, 1 to

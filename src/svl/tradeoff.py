@@ -27,8 +27,8 @@ from typing import Callable, Mapping
 
 from .correlations import svetlichny_upper_bound
 from .errors import DomainError, InvalidArityError
-from .qstate import (MAX_QUBITS, _WCLASS_KEYS, StateSpec, _bounded_int, _finite,
-                     _wclass_amplitudes, reduce_pure)
+from .qstate import (MAX_QUBITS, _WCLASS_KEYS, StateSpec, _bounded_int, _finite, _ReadOnlyDict,
+                     _Rebuilt, _wclass_amplitudes, reduce_pure)
 from .svetlichny import OptimizerOptions, maximize_svetlichny
 
 __all__ = [
@@ -56,7 +56,7 @@ SATISFIED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class WClassCoefficients:
+class WClassCoefficients(_Rebuilt):
     """Amplitudes (alpha, beta, gamma, delta, lam) of a W-class state."""
 
     alpha: float
@@ -261,21 +261,8 @@ class ReductionResult:
     converged: bool
 
 
-class _ReadOnlyDict(dict):
-    """A dict whose items cannot be set or removed; json, copy, pickle and
-    dataclasses.asdict still take it as a dict."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("the params of a report are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 @dataclass(frozen=True)
-class TradeoffReport:
+class TradeoffReport(_Rebuilt):
     """Outcome of checking one trade-off bound against maximization.
 
     params is a read-only copy of the mapping given, so that it cannot

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import gc
 import itertools
@@ -33,10 +34,13 @@ from svl import (
     to_density,
 )
 from svl import qstate
-from svl.correlations import PAULIS, CorrelationMatrix2, CorrelationTensor3
+from svl.correlations import (PAULIS, CorrelationMatrix2, CorrelationTensor3,
+                              pair_correlation_matrix)
 from svl.errors import DomainError
 from svl.qstate import MAX_DENSE_BYTES, MAX_QUBITS
-from svl.svetlichny import BlochVector, SvetlichnySettings, _starts
+from svl.svetlichny import (BlochVector, OptimizerOptions, SvetlichnySettings, _starts,
+                            maximize_svetlichny, svetlichny_value)
+from svl.tradeoff import WClassCoefficients, verify_tradeoff
 
 from conftest import (
     oracle_reduce_pure,
@@ -250,32 +254,6 @@ class TestDensity:
         with pytest.raises(DomainError):
             DensityMatrix(1, np.full((2, 2), bad))
 
-    def test_pickle_rebuilds_through_the_constructor(self):
-        psi = make_gghz(6, 0.4)
-        reduce_pure(psi, (0, 1, 2))
-        reduce_pure(psi, (0, 1, 3))
-        copy = pickle.loads(pickle.dumps(psi))
-        assert copy.amplitudes.tobytes() == psi.amplitudes.tobytes()
-        assert not copy.amplitudes.flags.writeable
-        assert "_classes" not in vars(copy)
-        assert (reduce_pure(copy, (1, 3, 5)).entries.tobytes()
-                == reduce_pure(psi, (1, 3, 5)).entries.tobytes())
-        rho = reduce_pure(psi, (0, 2, 4))
-        back = pickle.loads(pickle.dumps(rho))
-        assert type(back) is DensityMatrix
-        assert back.entries.tobytes() == rho.entries.tobytes()
-        assert not back.entries.flags.writeable
-
-    def test_pickle_checks_the_copy_again(self):
-        psi = make_gghz(3, 0.4)
-        object.__setattr__(psi, "amplitudes", 2.0 * psi.amplitudes)
-        with pytest.raises(NormalizationError):
-            pickle.loads(pickle.dumps(psi))
-        rho = maximally_mixed(2)
-        object.__setattr__(rho, "entries", 2.0 * rho.entries)
-        with pytest.raises(DomainError):
-            pickle.loads(pickle.dumps(rho))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_pure_state_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(NormalizationError):
@@ -327,6 +305,116 @@ def later_keep(psi, first, keep):
     later = reduce_pure(psi, keep)
     assert later.entries is rho.entries
     return later
+
+
+def set_field(record, name, value):
+    """record with one field set past its frozen dataclass."""
+    object.__setattr__(record, name, value)
+    return record
+
+
+def caches_read(record, *caches):
+    """record after each cache read on it, so a copy that keeps one shows."""
+    for read in caches:
+        read(record)
+    return record
+
+
+def gghz3():
+    return to_density(make_gghz(3, 0.3))
+
+
+# Each record whose constructor checks, copies, freezes or caches, built
+# with its caches read, and what its copy must give as it does.
+RECORDS = {
+    "PureState": (
+        lambda: caches_read(make_gghz(6, 0.4), lambda p: reduce_pure(p, (0, 1, 2)),
+                            lambda p: reduce_pure(p, (0, 1, 3))),
+        lambda a, b: reduce_pure(b, (1, 3, 5)).entries.tobytes()
+        == reduce_pure(a, (1, 3, 5)).entries.tobytes()),
+    "DensityMatrix": (
+        lambda: caches_read(reduce_pure(make_gghz(6, 0.4), (0, 2, 4)), correlation_tensor),
+        lambda a, b: correlation_tensor(b) is correlation_tensor(b) is not correlation_tensor(a)),
+    "later keep": (
+        lambda: caches_read(later_keep(make_gghz(6, 0.4), (0, 1, 2), (3, 4, 5)),
+                            correlation_tensor),
+        lambda a, b: b.entries is not a.entries),
+    "StateSpec": (
+        lambda: StateSpec.from_dict({"family": "CUSTOM", **FAMILY_EXAMPLES["CUSTOM"][0]}),
+        lambda a, b: type(b.params) is qstate._ReadOnlyDict
+        and b.to_pure().amplitudes.tobytes() == a.to_pure().amplitudes.tobytes()),
+    "CorrelationTensor3": (
+        lambda: caches_read(correlation_tensor(gghz3()), lambda t: t._upper_bound),
+        lambda a, b: b._upper_bound == a._upper_bound),
+    "CorrelationMatrix2": (
+        lambda: pair_correlation_matrix(reduce_pure(make_gghz(4, 0.3), (0, 1))),
+        lambda a, b: True),
+    "BlochVector": (lambda: BlochVector(0.3, 0.2), lambda a, b: b == a),
+    "SvetlichnySettings": (
+        lambda: caches_read(maximize_svetlichny(gghz3(), OptimizerOptions(restarts=2)).settings,
+                            lambda s: s._operator),
+        lambda a, b: svetlichny_value(gghz3(), b) == svetlichny_value(gghz3(), a)),
+    "OptimizerOptions": (lambda: OptimizerOptions(restarts=3, seed=5), lambda a, b: b == a),
+    "WClassCoefficients": (lambda: WClassCoefficients(0.6, 0.0, 0.0, 0.8), lambda a, b: b == a),
+    "TradeoffReport": (
+        lambda: verify_tradeoff(StateSpec("GGHZ", 4, {"theta": 0.3}), "theorem1",
+                                OptimizerOptions(restarts=2)),
+        lambda a, b: type(b.params) is qstate._ReadOnlyDict),
+}
+# Each record that checks its fields, built, and a field that its
+# constructor refuses, with the error.
+TAMPERED = {
+    "PureState": (lambda: make_gghz(3, 0.4), "amplitudes",
+                  lambda a: 2.0 * a, NormalizationError),
+    "DensityMatrix": (lambda: maximally_mixed(2), "entries", lambda a: 2.0 * a, DomainError),
+    "StateSpec": (lambda: StateSpec("GGHZ", 4, {"theta": 0.3}), "params",
+                  lambda p: {"theta": "a"}, DomainError),
+    "CorrelationTensor3": (lambda: CorrelationTensor3(np.full((3, 3, 3), 0.5)), "m",
+                           lambda m: 3.0 * m, DomainError),
+    "CorrelationMatrix2": (lambda: CorrelationMatrix2(np.eye(3)), "t",
+                           lambda t: 2.0 * t, DomainError),
+    "BlochVector": (lambda: BlochVector(0.3), "theta", lambda x: math.nan, DomainError),
+    "SvetlichnySettings": (lambda: SvetlichnySettings(*[BlochVector(0.3, 0.2)] * 6), "c_p",
+                           lambda v: set_field(BlochVector(0.3), "phi", math.inf), DomainError),
+    "OptimizerOptions": (lambda: OptimizerOptions(), "restarts", lambda k: 0, DomainError),
+    "WClassCoefficients": (lambda: WClassCoefficients(0.6, 0.0, 0.0, 0.8), "alpha",
+                           lambda x: 0.8, NormalizationError),
+}
+COPIES = {"pickle": lambda r: pickle.loads(pickle.dumps(r)), "deepcopy": copy.deepcopy,
+          "copy": copy.copy}
+
+
+class TestCopies:
+    """pickle, copy.deepcopy and copy.copy rebuild a record through its
+    constructor (qstate._Rebuilt)."""
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_copies_rebuild_through_the_constructor(self, record, how):
+        build, same = RECORDS[record]
+        original = build()
+        twin = COPIES[how](original)
+        assert type(twin) is type(original)
+        for f in filter(lambda f: f.init, dataclasses.fields(original)):
+            mine, theirs = getattr(original, f.name), getattr(twin, f.name)
+            if isinstance(mine, np.ndarray):
+                assert theirs.tobytes() == mine.tobytes()
+                assert not theirs.flags.writeable
+            else:
+                assert theirs == mine
+        assert not {"_operator", "_upper_bound", "_classes"} & set(vars(twin))
+        assert getattr(twin, "_memo", {}) == {}
+        assert same(original, twin)
+
+    # copy.copy passes the settings' directions on as they are.
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    @pytest.mark.parametrize("record", TAMPERED)
+    def test_copies_check_the_record_again(self, record, how):
+        build, name, tamper, error = TAMPERED[record]
+        original = build()
+        set_field(original, name, tamper(getattr(original, name)))
+        with pytest.raises(error):
+            COPIES[how](original)
 
 
 class TestCheckMemo:
@@ -819,6 +907,21 @@ class TestStateSpec:
         assert copy.to_pure().amplitudes.tobytes() == spec.to_pure().amplitudes.tobytes()
         with pytest.raises(TypeError):
             copy.params["theta"] = 1.2
+
+    def test_custom_params_share_no_list_with_the_caller(self):
+        # The state is built once, from the lists as given: a later edit to
+        # them must reach neither the params nor a copy rebuilt from them.
+        amplitudes = [[1, 0], [0, 0]]
+        spec = StateSpec("CUSTOM", 1, {"amplitudes": amplitudes})
+        amplitudes[0][0], amplitudes[1][0] = 0, 1
+        assert spec.params == {"amplitudes": ((1, 0), (0, 0))}
+        assert json.dumps(spec.params) == '{"amplitudes": [[1, 0], [0, 0]]}'
+        twin = pickle.loads(pickle.dumps(spec))
+        assert twin.to_pure().amplitudes.tobytes() == spec.to_pure().amplitudes.tobytes()
+        with pytest.raises(TypeError):
+            spec.params["amplitudes"][1] = [1, 0]
+        with pytest.raises(TypeError):
+            spec.params["amplitudes"][0][0] = 0
 
     def test_to_pure_returns_one_state(self):
         spec = StateSpec("MS", 4, {"theta": 1.0})

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -106,6 +107,27 @@ def test_compare_base_says_when_only_numbers_differ():
         assert describe("stdout", base, other)[0] == "  stdout:"
     assert describe("file out.csv", b"1,2\n", b"1,3\n")[0] == (
         "  file out.csv: differs only in numbers, by at most 1.0")
+
+
+def test_compare_base_reports_a_crash_the_base_run_shares(monkeypatch, capsys):
+    # Both trees print the same traceback, so the line does not differ; it
+    # crashes all the same: svl prints one "svl: ..." line per expected error.
+    compare_base = load_compare_base()
+    stderr = {"crash": b'Traceback (most recent call last):\n  File "x"\nKeyError: 0\n',
+              "error": b"svl: error: argument --restarts: must be positive\n"}
+    monkeypatch.setattr(compare_base, "read_corpus", lambda path: [["crash"], ["error"]])
+    monkeypatch.setattr(compare_base, "run", lambda tree, argv: {
+        "exit code": 1, "stdout": b"", "stderr": stderr[argv[0]], "files": {}})
+    monkeypatch.setattr(compare_base, "subprocess",
+                        types.SimpleNamespace(run=lambda *args, **kwargs: None))
+    monkeypatch.setattr(sys, "argv", ["compare_base.py", "--base", "HEAD"])
+    assert compare_base.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'CRASHES: ["crash"]', "2 command lines, 0 differ from HEAD, 1 crash here"]
+    del stderr["crash"]
+    monkeypatch.setattr(compare_base, "read_corpus", lambda path: [["error"]])
+    assert compare_base.main() == 0
+    assert capsys.readouterr().out == "1 command lines, 0 differ from HEAD, 0 crash here\n"
 
 
 def test_cli_corpus_runs_every_verb_bound_figure_and_help():
